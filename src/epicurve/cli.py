@@ -2,8 +2,8 @@
 
 Usage::
 
-    epicurve <subcommand> --config pipeline.yaml [--out DIR] [--seed N]
-                                                 [--top N] [--bottom N]
+    epicurve <subcommand> --config pipeline.yaml [--out DIR]
+    epicurve report --config pipeline.yaml [--out DIR] [--top N] [--bottom N]
 
 Subcommands run one stage each (``features``, ``associate``, ``select``,
 ``fuse``, ``cluster``, ``report``) or the whole pipeline (``all``).

@@ -44,18 +44,6 @@ class CategoricalMatrix:
             raise ComputationError(f"unknown feature column {name!r}") from exc
         return self.cells[:, j]
 
-    def with_columns(
-        self, names: Sequence[str], columns: Sequence[np.ndarray]
-    ) -> "CategoricalMatrix":
-        """Return a copy with extra categorical columns appended."""
-        extra = np.column_stack([np.asarray(c, dtype=int) for c in columns])
-        return CategoricalMatrix(
-            unit_ids=self.unit_ids,
-            feature_names=self.feature_names + tuple(names),
-            cells=np.hstack([self.cells, extra]),
-            bin_edges=dict(self.bin_edges),
-        )
-
 
 @dataclass(frozen=True)
 class ContingencyTable:
@@ -166,14 +154,13 @@ def contingency(x: Sequence[int], y: Sequence[int]) -> ContingencyTable:
         raise ComputationError(f"length mismatch: {x.size} vs {y.size}")
     if x.size == 0:
         raise ComputationError("empty columns")
-    row_labels = tuple(int(v) for v in np.unique(x))
-    col_labels = tuple(int(v) for v in np.unique(y))
-    counts = np.zeros((len(row_labels), len(col_labels)), dtype=int)
-    ri = {v: i for i, v in enumerate(row_labels)}
-    ci = {v: i for i, v in enumerate(col_labels)}
-    for a, b in zip(x, y):
-        counts[ri[int(a)], ci[int(b)]] += 1
-    return ContingencyTable(row_labels, col_labels, counts)
+    row_labels, xi = np.unique(x, return_inverse=True)
+    col_labels, yi = np.unique(y, return_inverse=True)
+    shape = (row_labels.size, col_labels.size)
+    counts = np.bincount(xi.reshape(-1) * shape[1] + yi.reshape(-1),
+                         minlength=shape[0] * shape[1]).reshape(shape)
+    return ContingencyTable(tuple(row_labels.tolist()), tuple(col_labels.tolist()),
+                            counts)
 
 
 def entropy(counts: Iterable[float]) -> float:
@@ -201,12 +188,91 @@ def conditional_entropy(t: ContingencyTable, direction: str = COLS_GIVEN_ROWS) -
     n = t.total
     if n < 1:
         raise ComputationError("empty table")
-    h = 0.0
-    for row in t.counts:
-        nr = row.sum()
-        if nr > 0:
-            h += (nr / n) * entropy(row)
-    return h
+    r, c = np.nonzero(t.counts)
+    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    return float(_grouped_entropy(t.counts[r, c], starts, np.zeros_like(starts), n)[0])
+
+
+#: Cells (feature sets x units) counted per batch by the entropy kernel;
+#: bounds its working memory whatever the number of sets.
+BATCH_CELLS = 1 << 14
+
+#: Keys are re-coded densely before a batch's cell ids could overflow int64.
+_KEY_LIMIT = 1 << 62
+
+
+def _dense(x) -> np.ndarray:
+    """Codes 0..r-1 of the values of ``x``, in ascending value order."""
+    return np.unique(x, return_inverse=True)[1].reshape(np.shape(x))
+
+
+def _conditional_entropies(y, columns, sets, first_seen: bool = True) -> np.ndarray:
+    """H(Y | F) in bits for every feature set F: the joint-count kernel.
+
+    ``columns`` is a (p, n) array of small non-negative integer codes and
+    ``sets`` an (m, k) array of indices into its rows. Each set's columns
+    are encoded as one mixed-radix key per unit, and sets are counted
+    BATCH_CELLS cells at a time. The floating-point operations are those
+    of the scalar definition, in its order: the groups of F, and the Y
+    cells within a group, in first-occurrence order (ascending label
+    order, as in a ContingencyTable, when ``first_seen`` is false).
+    """
+    y = _dense(np.asarray(y, dtype=int))
+    if y.size == 0:
+        raise ComputationError("empty columns")
+    sets = np.asarray(sets, dtype=int)
+    radix = columns.max(axis=1) + 1
+    step = max(1, BATCH_CELLS // y.size)
+    out = np.empty(len(sets))
+    for lo in range(0, len(sets), step):
+        idx = sets[lo:lo + step]
+        keys = columns[idx[:, 0]]
+        for j in range(1, idx.shape[1]):
+            r = radix[idx[:, j]]
+            if keys.max() >= _KEY_LIMIT // (r.max() * len(idx) * (y.max() + 1)):
+                keys = _dense(keys)
+            keys = keys * r[:, None] + columns[idx[:, j]]
+        out[lo:lo + step] = _batch_entropies(y, keys, first_seen)
+    return out
+
+
+def _batch_entropies(y: np.ndarray, keys: np.ndarray, first_seen: bool) -> np.ndarray:
+    """H(Y | key) per row of ``keys`` (m, n), from one count of all cells."""
+    m, n = keys.shape
+    ny = int(y.max()) + 1
+    span = int(keys.max()) + 1
+    cell = ((np.arange(m)[:, None] * span + keys) * ny + y).reshape(-1)
+    cell, first, counts = np.unique(cell, return_index=True, return_counts=True)
+    group = cell // ny
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    if first_seen:
+        group_first = np.minimum.reduceat(first, starts)
+        rank = np.repeat(group_first, np.diff(np.r_[starts, cell.size]))
+        order = np.lexsort((first, rank))
+        counts, group = counts[order], group[order]
+        starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    return _grouped_entropy(counts, starts, group[starts] // span, n)
+
+
+def _grouped_entropy(counts, starts, owner, n: int) -> np.ndarray:
+    """Per owner, the sum over its groups of (n_g / n) * H(group's cells).
+
+    Group g's counts are contiguous from ``starts[g]``; ``owner`` (sorted,
+    0..m-1) tells whose it is. A group entropy is one np.sum, as in
+    ``entropy``, and an owner's terms are added one by one from +0.0.
+    """
+    lengths = np.diff(np.r_[starts, counts.size])
+    n_g = np.add.reduceat(counts, starts)
+    p = counts / np.repeat(n_g, lengths)
+    plogp = p * np.log2(p)
+    h = np.empty(starts.size)
+    for length in np.unique(lengths):
+        sel = np.flatnonzero(lengths == length)
+        h[sel] = -np.sum(plogp[starts[sel, None] + np.arange(length)], axis=1)
+    pos = np.arange(starts.size) - np.searchsorted(owner, owner)
+    terms = np.zeros((owner[-1] + 1, pos.max() + 1))
+    terms[owner, pos] = n_g / n * h
+    return np.cumsum(terms, axis=1)[:, -1] + 0.0
 
 
 def rescaled_ce(t: ContingencyTable, direction: str = COLS_GIVEN_ROWS) -> float:
@@ -228,16 +294,16 @@ def association_matrices(m: CategoricalMatrix) -> AssociationMatrices:
     p = len(m.feature_names)
     if p < 2:
         raise ComputationError("need at least 2 feature columns")
-    for name in m.feature_names:
-        if entropy(np.bincount(m.column(name))) == 0.0:
+    cells = np.ascontiguousarray(m.cells.T)
+    h = [entropy(np.bincount(column)) for column in cells]
+    for name, h_j in zip(m.feature_names, h):
+        if h_j == 0.0:
             raise ComputationError(f"degenerate column {name!r} (zero entropy)")
     directed = np.zeros((p, p))
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            t = contingency(m.column(m.feature_names[i]), m.column(m.feature_names[j]))
-            directed[i, j] = rescaled_ce(t, COLS_GIVEN_ROWS)
+    for j in range(p):
+        others = np.delete(np.arange(p), j)
+        directed[others, j] = _conditional_entropies(
+            cells[j], cells, others[:, None], first_seen=False) / h[j]
     mutual = 0.5 * (directed + directed.T)
     np.fill_diagonal(mutual, 0.0)
     return AssociationMatrices(m.feature_names, directed, mutual)

@@ -1,11 +1,11 @@
 """Major-factor selection for a categorical response.
 
-Scans condition the response on single features (order 1) and feature
-pairs (order 2), ranking by conditional entropy. Whether an entropy drop
-is real or a finite-sample artifact is judged against a permutation
-null: the candidate column is shuffled, destroying any link to the
-response while keeping its margin, and the resulting drops form the
-noise baseline.
+Scans condition the response on single features (order 1), feature
+pairs (order 2) and triples (order 3), ranking by conditional entropy.
+Whether an entropy drop is real or a finite-sample artifact is judged
+against a permutation null: the candidate column is shuffled, destroying
+any link to the response while keeping its margin, and the resulting
+drops form the noise baseline.
 
 SCE-drop of a feature set is the smallest conditional-entropy reduction
 any single member contributes over the set without it; for singletons it
@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ComputationError
-from .infotheory import entropy
+from .infotheory import _conditional_entropies, _dense, entropy
 
 ORDER1 = "order1"
 ORDER1_PAIR = "order1-pair"
@@ -60,10 +61,14 @@ class NullDropStats:
     seed: int
 
 
-def _check_lengths(y: np.ndarray, cols: Sequence[np.ndarray]) -> None:
+def _encode(y: Sequence[int], cols) -> tuple[np.ndarray, np.ndarray]:
+    """The response as an int array and the columns as a (p, n) code matrix."""
+    y = np.asarray(y, dtype=int)
+    cols = [np.asarray(c, dtype=int) for c in cols]
     for c in cols:
         if len(c) != len(y):
             raise ComputationError(f"length mismatch: {len(c)} vs {len(y)}")
+    return y, np.array([_dense(c) for c in cols])
 
 
 def _marginal_entropy(y: np.ndarray) -> float:
@@ -73,78 +78,60 @@ def _marginal_entropy(y: np.ndarray) -> float:
 
 def joint_conditional_entropy(y: Sequence[int], cols: Sequence[Sequence[int]]) -> float:
     """H(Y | F) in bits, on the joint table over observed category tuples of F."""
-    y = np.asarray(y, dtype=int)
     if len(cols) == 0:
         raise ComputationError("empty feature set")
-    cols = [np.asarray(c, dtype=int) for c in cols]
-    _check_lengths(y, cols)
-    n = y.size
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for i in range(n):
-        key = tuple(int(c[i]) for c in cols)
-        cell = groups.setdefault(key, {})
-        cell[int(y[i])] = cell.get(int(y[i]), 0) + 1
-    h = 0.0
-    for cell in groups.values():
-        counts = list(cell.values())
-        nk = sum(counts)
-        h += (nk / n) * entropy(counts)
-    return h
+    y, columns = _encode(y, cols)
+    return float(_conditional_entropies(y, columns, [range(len(cols))])[0])
+
+
+def scan(
+    y: Sequence[int], candidates: dict[str, Sequence[int]], order: int
+) -> list[list[FeatureSetResult]]:
+    """CE of the response given every candidate set of 1..order features.
+
+    Returns one list per set size, each ranked ascending by CE with ties
+    broken on feature names, so the ranking is independent of the
+    candidates' input order. Each SCE-drop comes from the CEs of the
+    subsets one size down (H(Y) for singletons), so no CE is counted twice.
+    """
+    if not candidates:
+        raise ComputationError("no candidates")
+    names = sorted(candidates)
+    y, columns = _encode(y, [candidates[name] for name in names])
+    h_y = _marginal_entropy(y)
+    ce = {(): h_y}
+    levels = []
+    for k in range(1, order + 1):
+        sets = list(combinations(range(len(names)), k))
+        values = _conditional_entropies(y, columns, np.reshape(sets, (-1, k)))
+        level = []
+        for s, v in zip(sets, values.tolist()):
+            ce[s] = v
+            level.append(FeatureSetResult(
+                feature_names=tuple(names[i] for i in s),
+                ce=v,
+                rescaled_ce=v / h_y if h_y > 0 else 0.0,
+                ce_drop=h_y - v,
+                sce_drop=min(ce[s[:i] + s[i + 1:]] - v for i in range(k)),
+            ))
+        levels.append(sorted(level, key=lambda r: (r.ce, r.feature_names)))
+    return levels
 
 
 def scan_order1(
     y: Sequence[int], candidates: dict[str, Sequence[int]]
 ) -> list[FeatureSetResult]:
-    """CE of the response given each single candidate, ranked ascending.
-
-    Ties break on feature name so the ranking is independent of the
-    candidates' input order.
-    """
-    if not candidates:
-        raise ComputationError("no candidates")
-    y = np.asarray(y, dtype=int)
-    h_y = _marginal_entropy(y)
-    results = []
-    for name in candidates:
-        ce = joint_conditional_entropy(y, [candidates[name]])
-        drop = h_y - ce
-        results.append(
-            FeatureSetResult(
-                feature_names=(name,),
-                ce=ce,
-                rescaled_ce=ce / h_y if h_y > 0 else 0.0,
-                ce_drop=drop,
-                sce_drop=drop,
-            )
-        )
-    return sorted(results, key=lambda r: (r.ce, r.feature_names))
+    """CE of the response given each single candidate, ranked ascending."""
+    return scan(y, candidates, 1)[0]
 
 
 def scan_order2(
     y: Sequence[int], candidates: dict[str, Sequence[int]]
 ) -> list[FeatureSetResult]:
     """CE of the response given each unordered candidate pair, ranked ascending."""
-    names = sorted(candidates)
-    if len(names) < 2:
+    if len(candidates) < 2:
         raise ComputationError("need at least 2 candidates")
-    y = np.asarray(y, dtype=int)
-    h_y = _marginal_entropy(y)
-    singleton_ce = {n: joint_conditional_entropy(y, [candidates[n]]) for n in names}
-    results = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            ce = joint_conditional_entropy(y, [candidates[a], candidates[b]])
-            sce = min(singleton_ce[b] - ce, singleton_ce[a] - ce)
-            results.append(
-                FeatureSetResult(
-                    feature_names=(a, b),
-                    ce=ce,
-                    rescaled_ce=ce / h_y if h_y > 0 else 0.0,
-                    ce_drop=h_y - ce,
-                    sce_drop=sce,
-                )
-            )
-    return sorted(results, key=lambda r: (r.ce, r.feature_names))
+    return scan(y, candidates, 2)[1]
 
 
 def noise_threshold(
@@ -158,22 +145,19 @@ def noise_threshold(
 
     Each replicate shuffles the candidate column with its own rng
     derived from (seed, replicate index), so results do not depend on
-    evaluation order.
+    evaluation order; all replicates are then counted in batches.
     """
     if replicates < 1:
         raise ComputationError("replicates must be >= 1")
-    y = np.asarray(y, dtype=int)
-    existing = [np.asarray(c, dtype=int) for c in existing]
-    candidate = np.asarray(candidate, dtype=int)
-    _check_lengths(y, existing + [candidate])
-    base = (
-        joint_conditional_entropy(y, existing) if existing else _marginal_entropy(y)
-    )
-    drops = np.empty(replicates)
-    for r in range(replicates):
-        rng = np.random.default_rng([seed, r])
-        perm = rng.permutation(candidate)
-        drops[r] = base - joint_conditional_entropy(y, existing + [perm])
+    y, columns = _encode(y, list(existing) + [candidate])
+    e = len(columns) - 1
+    base = (float(_conditional_entropies(y, columns, [range(e)])[0]) if e
+            else _marginal_entropy(y))
+    perms = [np.random.default_rng([seed, r]).permutation(columns[e])
+             for r in range(replicates)]
+    sets = np.column_stack([np.tile(np.arange(e), (replicates, 1)),
+                            e + np.arange(replicates)])
+    drops = base - _conditional_entropies(y, np.vstack([columns[:e], *perms]), sets)
     return NullDropStats(
         replicates=replicates,
         mean=float(drops.mean()),

@@ -11,11 +11,13 @@ config reproduces every artifact bit for bit.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import hashlib
 import io
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -120,6 +122,20 @@ def _as_date(value, what: str) -> dt.date:
         raise ConfigError(f"bad {what} date: {value!r}") from exc
 
 
+#: Fusion and clustering names end up in file names.
+_SAFE_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
+
+
+def _check_names(kind: str, names: list[str], taken: frozenset = frozenset()) -> None:
+    for i, name in enumerate(names):
+        if not _SAFE_NAME.fullmatch(name):
+            raise ConfigError(f"{kind} name {name!r} is not safe in a file name")
+        if name in names[:i]:
+            raise ConfigError(f"duplicate {kind} name {name!r}")
+        if name in taken:
+            raise ConfigError(f"{kind} name {name!r} collides with a data column")
+
+
 def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     """Build and validate a PipelineConfig from a plain mapping.
 
@@ -160,12 +176,14 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
             seed=int(f.get("seed", 0)),
             restarts=int(f.get("restarts", 100)),
         )
-        if spec.k < 1:
-            raise ConfigError(f"fusion {spec.name}: k must be >= 1")
+        if spec.k < 1 or spec.restarts < 1:
+            raise ConfigError(f"fusion {spec.name}: k and restarts must be >= 1")
         for c in spec.columns:
             if c not in NUMERIC_FEATURES:
                 raise ConfigError(f"fusion {spec.name}: unknown column {c!r}")
         fusions.append(spec)
+    _check_names("fusion", [f.name for f in fusions],
+                 frozenset(FEATURE_COLUMNS) | {"unit_id"} | set(META_RESPONSES))
     fusion_names = {f.name for f in fusions}
 
     categorical_names = set(("peakdate",) + SHAPE_FEATURES) | fusion_names
@@ -184,6 +202,9 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
             raise ConfigError(
                 f"response {spec.response}: scan order must be 1, 2 or 3"
             )
+        if spec.replicates < 1 or spec.top < 0 or spec.bottom < 0:
+            raise ConfigError(f"response {spec.response}: replicates must be >= 1 "
+                              "and top, bottom >= 0")
         if spec.response not in categorical_names | set(META_RESPONSES):
             raise ConfigError(f"unknown response column {spec.response!r}")
         for c in spec.candidates:
@@ -192,6 +213,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
                     f"response {spec.response}: unknown candidate column {c!r}"
                 )
         responses.append(spec)
+    _check_names("response", [r.response for r in responses])
 
     clusterings = []
     for c in data.get("clusterings", []) or []:
@@ -202,6 +224,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
             if col not in NUMERIC_FEATURES:
                 raise ConfigError(f"clustering {spec.name}: unknown column {col!r}")
         clusterings.append(spec)
+    _check_names("clustering", [c.name for c in clusterings])
 
     return PipelineConfig(
         cases=resolve(data["cases"]),
@@ -233,9 +256,12 @@ def load_config(path: str) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # artifact helpers
 
-def _out(cfg: PipelineConfig, name: str) -> str:
+def _write(cfg: PipelineConfig, name: str, text: str) -> str:
     os.makedirs(cfg.output, exist_ok=True)
-    return os.path.join(cfg.output, name)
+    path = os.path.join(cfg.output, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
 
 
 def _require(cfg: PipelineConfig, name: str, stage: str) -> str:
@@ -245,9 +271,12 @@ def _require(cfg: PipelineConfig, name: str, stage: str) -> str:
     return path
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write_csv(cfg: PipelineConfig, name: str, header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return _write(cfg, name, buf.getvalue())
 
 
 def _fmt(v: Optional[float]) -> str:
@@ -275,17 +304,10 @@ def stage_features(cfg: PipelineConfig) -> str:
         feats = curve_features.extract_features(smoothed)
         rows.append(feats.as_row())
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit_id"] + list(FEATURE_COLUMNS))
-    for row in rows:
-        out = [row["unit_id"], row["peakdate"]]
-        for col in FEATURE_COLUMNS[1:]:
-            out.append(_fmt(row[col]))
-        writer.writerow(out)
-    path = _out(cfg, "features.csv")
-    _write_text(path, buf.getvalue())
-    return path
+    return _write_csv(cfg, "features.csv", ["unit_id"] + list(FEATURE_COLUMNS), (
+        [row["unit_id"], row["peakdate"]] + [_fmt(row[c]) for c in FEATURE_COLUMNS[1:]]
+        for row in rows
+    ))
 
 
 def read_features_csv(path: str):
@@ -335,47 +357,29 @@ def stage_associate(cfg: PipelineConfig) -> list[str]:
     units, columns = read_features_csv(features_path)
     m = build_categorical(cfg, units, columns)
 
-    written = []
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit_id"] + list(m.feature_names))
-    for i, unit in enumerate(m.unit_ids):
-        writer.writerow([unit] + [int(v) for v in m.cells[i]])
-    path = _out(cfg, "categorical.csv")
-    _write_text(path, buf.getvalue())
-    written.append(path)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["feature"] + [f"edge{i}" for i in range(1, cfg.n_bins)])
-    for name in m.feature_names:
-        e = m.bin_edges.get(name)
-        if e is None:
-            writer.writerow([name] + [""] * (cfg.n_bins - 1))
-        else:
-            writer.writerow([name] + [f"{v:.6f}" for v in e])
-    path = _out(cfg, "bin_edges.csv")
-    _write_text(path, buf.getvalue())
-    written.append(path)
+    written = [
+        _write_csv(cfg, "categorical.csv", ["unit_id"] + list(m.feature_names),
+                   ([unit] + [int(v) for v in m.cells[i]]
+                    for i, unit in enumerate(m.unit_ids))),
+        _write_csv(cfg, "bin_edges.csv",
+                   ["feature"] + [f"edge{i}" for i in range(1, cfg.n_bins)],
+                   ([name] + ([""] * (cfg.n_bins - 1) if m.bin_edges.get(name) is None
+                              else [f"{v:.6f}" for v in m.bin_edges[name]])
+                    for name in m.feature_names)),
+    ]
 
     assoc = infotheory.association_matrices(m)
     for kind, mat in (("directed", assoc.directed), ("mutual", assoc.mutual)):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["feature"] + list(assoc.feature_names))
-        for i, name in enumerate(assoc.feature_names):
-            writer.writerow([name] + [f"{v:.6f}" for v in mat[i]])
-        path = _out(cfg, f"association_{kind}.csv")
-        _write_text(path, buf.getvalue())
-        written.append(path)
+        written.append(_write_csv(
+            cfg, f"association_{kind}.csv", ["feature"] + list(assoc.feature_names),
+            ([name] + [f"{v:.6f}" for v in mat[i]]
+             for i, name in enumerate(assoc.feature_names))))
 
     for tau in cfg.thresholds:
         for kind in ("directed", "mutual"):
             g = infotheory.threshold_network(assoc, kind, tau)
-            path = _out(cfg, f"network_{kind}_{tau:g}.dot")
-            _write_text(path, g.to_dot(name=f"{kind}_{str(tau).replace('.', '_')}"))
-            written.append(path)
+            written.append(_write(cfg, f"network_{kind}_{tau:g}.dot",
+                                  g.to_dot(name=f"{kind}_{str(tau).replace('.', '_')}")))
     return written
 
 
@@ -412,24 +416,15 @@ def stage_fuse(cfg: PipelineConfig) -> list[str]:
         )
         fused_cols[spec.name] = fused.labels
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["cluster"] + list(spec.columns))
-        for i, c in enumerate(fused.centroids):
-            writer.writerow([i + 1] + [f"{v:.6f}" for v in c])
-        path = _out(cfg, f"fusion_{spec.name}_centroids.csv")
-        _write_text(path, buf.getvalue())
-        written.append(path)
+        written.append(_write_csv(
+            cfg, f"fusion_{spec.name}_centroids.csv", ["cluster"] + list(spec.columns),
+            ([i + 1] + [f"{v:.6f}" for v in c] for i, c in enumerate(fused.centroids))))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     names = [s.name for s in cfg.fusions]
-    writer.writerow(["unit_id"] + names)
-    for i, unit in enumerate(units):
-        writer.writerow([unit] + [int(fused_cols[n][i]) for n in names])
-    path = _out(cfg, "fused.csv")
-    _write_text(path, buf.getvalue())
-    written.append(path)
+    written.append(_write_csv(
+        cfg, "fused.csv", ["unit_id"] + names,
+        ([unit] + [int(fused_cols[n][i]) for n in names]
+         for i, unit in enumerate(units))))
     return written
 
 
@@ -461,99 +456,48 @@ def _scan_response(cfg: PipelineConfig, spec: ResponseSpec, units, cat_columns):
             raise DataError(f"candidate {c!r} not found; run `associate`/`fuse` first")
         candidates[c] = cat_columns[c]
 
-    scan1 = major_factor.scan_order1(y, candidates)
-    names = sorted(candidates)
+    scan1, scan2, scan3 = (major_factor.scan(y, candidates, spec.order)
+                           + [[]] * (3 - spec.order))
     nulls = {
         name: major_factor.noise_threshold(
             y, [], candidates[name],
             replicates=spec.replicates, seed=spec.seed + idx,
         )
-        for idx, name in enumerate(names)
+        for idx, name in enumerate(sorted(candidates))
     }
     annotated1 = []
     for r in scan1:
-        null = nulls[r.feature_names[0]]
-        sig = r.ce_drop > null.q95 + major_factor.EPS
-        annotated1.append(
-            major_factor.FeatureSetResult(
-                feature_names=r.feature_names,
-                ce=r.ce, rescaled_ce=r.rescaled_ce,
-                ce_drop=r.ce_drop, sce_drop=r.sce_drop,
-                significant=sig,
-                classification=major_factor.ORDER1 if sig
-                else major_factor.INSIGNIFICANT,
-            )
-        )
+        sig = r.ce_drop > nulls[r.feature_names[0]].q95 + major_factor.EPS
+        annotated1.append(dataclasses.replace(
+            r, significant=sig,
+            classification=major_factor.ORDER1 if sig else major_factor.INSIGNIFICANT,
+        ))
 
     annotated2 = []
-    if spec.order >= 2 and len(candidates) >= 2:
-        by_name = {r.feature_names[0]: r for r in annotated1}
-        for r in major_factor.scan_order2(y, candidates):
-            a, b = r.feature_names
-            cls = major_factor.classify_pair(
-                r, by_name[a], by_name[b], nulls[a], nulls[b]
-            )
-            sig = r.sce_drop > max(nulls[a].q95, nulls[b].q95) + major_factor.EPS
-            annotated2.append(
-                major_factor.FeatureSetResult(
-                    feature_names=r.feature_names,
-                    ce=r.ce, rescaled_ce=r.rescaled_ce,
-                    ce_drop=r.ce_drop, sce_drop=r.sce_drop,
-                    significant=sig, classification=cls,
-                )
-            )
+    by_name = {r.feature_names[0]: r for r in annotated1}
+    for r in scan2:
+        a, b = r.feature_names
+        annotated2.append(dataclasses.replace(
+            r,
+            significant=r.sce_drop > max(nulls[a].q95, nulls[b].q95) + major_factor.EPS,
+            classification=major_factor.classify_pair(
+                r, by_name[a], by_name[b], nulls[a], nulls[b]),
+        ))
 
-    annotated3 = []
-    if spec.order >= 3 and len(candidates) >= 3:
-        h_y = major_factor._marginal_entropy(y)
-        for i, a in enumerate(names):
-            for j in range(i + 1, len(names)):
-                for k in range(j + 1, len(names)):
-                    trip = (a, names[j], names[k])
-                    cols = [candidates[t] for t in trip]
-                    ce = major_factor.joint_conditional_entropy(y, cols)
-                    sce = min(
-                        major_factor.joint_conditional_entropy(
-                            y, [c for t, c in zip(trip, cols) if t != drop_name]
-                        ) - ce
-                        for drop_name in trip
-                    )
-                    annotated3.append(
-                        major_factor.FeatureSetResult(
-                            feature_names=trip,
-                            ce=ce,
-                            rescaled_ce=ce / h_y if h_y > 0 else 0.0,
-                            ce_drop=h_y - ce,
-                            sce_drop=sce,
-                        )
-                    )
-        annotated3.sort(key=lambda r: (r.ce, r.feature_names))
-
-    return annotated1, annotated2, annotated3, nulls
+    return annotated1, annotated2, scan3, nulls
 
 
-def _write_scan_csv(path, scan1, scan2, scan3, nulls):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "features", "ce", "rescaled_ce", "ce_drop", "sce_drop",
-        "null_mean", "null_q95", "significant", "classification",
-    ])
-    for r in list(scan1) + list(scan2) + list(scan3):
-        if len(r.feature_names) == 1:
-            null = nulls[r.feature_names[0]]
-            null_mean, null_q95 = f"{null.mean:.6f}", f"{null.q95:.6f}"
-        else:
-            null_mean = null_q95 = ""
-        writer.writerow([
+def _scan_rows(scans, nulls):
+    for r in scans:
+        null = nulls[r.feature_names[0]] if len(r.feature_names) == 1 else None
+        yield [
             "_".join(r.feature_names),
             f"{r.ce:.6f}", f"{r.rescaled_ce:.6f}",
             f"{r.ce_drop:.6f}", f"{r.sce_drop:.6f}",
-            null_mean, null_q95,
+            f"{null.mean:.6f}" if null else "", f"{null.q95:.6f}" if null else "",
             "" if r.significant is None else str(bool(r.significant)).lower(),
             r.classification or "",
-        ])
-    _write_text(path, buf.getvalue())
+        ]
 
 
 def stage_select(cfg: PipelineConfig) -> list[str]:
@@ -570,23 +514,22 @@ def stage_select(cfg: PipelineConfig) -> list[str]:
     written = []
     for spec in cfg.responses:
         scan1, scan2, scan3, nulls = _scan_response(cfg, spec, units, cat_columns)
-        path = _out(cfg, f"scan_{spec.response}.csv")
-        _write_scan_csv(path, scan1, scan2, scan3, nulls)
-        written.append(path)
+        written.append(_write_csv(
+            cfg, f"scan_{spec.response}.csv",
+            ["features", "ce", "rescaled_ce", "ce_drop", "sce_drop",
+             "null_mean", "null_q95", "significant", "classification"],
+            _scan_rows(scan1 + scan2 + scan3, nulls)))
         written.extend(_write_reports(cfg, spec.response, scan1, scan2,
                                       spec.top, spec.bottom))
     return written
 
 
 def _write_reports(cfg, response, scan1, scan2, top, bottom) -> list[str]:
-    written = []
-    if scan1 and scan2:
-        for ext, md in (("txt", False), ("md", True)):
-            text = major_factor.factor_report(scan1, scan2, top, bottom, markdown=md)
-            path = _out(cfg, f"report_{response}.{ext}")
-            _write_text(path, text)
-            written.append(path)
-    return written
+    if not (scan1 and scan2):
+        return []
+    return [_write(cfg, f"report_{response}.{ext}",
+                   major_factor.factor_report(scan1, scan2, top, bottom, markdown=md))
+            for ext, md in (("txt", False), ("md", True))]
 
 
 # ---------------------------------------------------------------------------
@@ -604,34 +547,43 @@ def stage_cluster(cfg: PipelineConfig) -> list[str]:
         tree, excluded = cluster_fuse.hcluster_ward(matrix, units)
         codes = cluster_fuse.leaf_codes(tree)
 
-        path = _out(cfg, f"tree_{spec.name}.csv")
-        _write_text(path, cluster_fuse.tree_csv(tree))
-        written.append(path)
-
-        path = _out(cfg, f"similarity_{spec.name}.csv")
-        _write_text(path, cluster_fuse.similarity_csv(codes))
-        written.append(path)
-
-        path = _out(cfg, f"heatmap_{spec.name}.svg")
-        _write_text(path, cluster_fuse.similarity_svg(codes))
-        written.append(path)
-
+        written.append(_write(cfg, f"tree_{spec.name}.csv", cluster_fuse.tree_csv(tree)))
+        written.append(_write(cfg, f"similarity_{spec.name}.csv",
+                              cluster_fuse.similarity_csv(codes)))
+        written.append(_write(cfg, f"heatmap_{spec.name}.svg",
+                              cluster_fuse.similarity_svg(codes)))
         if excluded:
-            path = _out(cfg, f"excluded_{spec.name}.txt")
-            _write_text(path, "\n".join(excluded) + "\n")
-            written.append(path)
+            written.append(_write(cfg, f"excluded_{spec.name}.txt",
+                                  "\n".join(excluded) + "\n"))
     return written
 
 
 # ---------------------------------------------------------------------------
 # stage: report
 
-def read_scan_csv(path: str):
-    """Read a scan CSV back into (order-1 results, order-2 results)."""
+def _split_features(cell: str, candidates) -> tuple[str, ...]:
+    """Read a ``_``-joined scan ``features`` cell back as candidate names."""
+    def reads(tokens):
+        if not tokens:
+            yield ()
+        for j in range(1, len(tokens) + 1):
+            if (head := "_".join(tokens[:j])) in candidates:
+                yield from ((head,) + rest for rest in reads(tokens[j:]))
+
+    found = list(reads(cell.split("_")))
+    if len(found) != 1:
+        raise DataError(f"{'ambiguous' if found else 'unknown'} feature set "
+                        f"{cell!r} in the scan CSV")
+    return found[0]
+
+
+def read_scan_csv(path: str, candidates):
+    """Read a scan CSV back into (order-1 results, order-2 results); feature
+    names, which may contain ``_``, are matched against ``candidates``."""
     scan1, scan2 = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            names = tuple(row["features"].split("_"))
+            names = _split_features(row["features"], candidates)
             r = major_factor.FeatureSetResult(
                 feature_names=names,
                 ce=float(row["ce"]),
@@ -655,7 +607,7 @@ def stage_report(cfg: PipelineConfig, top: Optional[int] = None,
     written = []
     for spec in cfg.responses:
         path = _require(cfg, f"scan_{spec.response}.csv", "select")
-        scan1, scan2 = read_scan_csv(path)
+        scan1, scan2 = read_scan_csv(path, spec.candidates)
         written.extend(_write_reports(
             cfg, spec.response, scan1, scan2,
             spec.top if top is None else top,
@@ -678,9 +630,7 @@ def write_manifest(cfg: PipelineConfig) -> str:
             rel = os.path.relpath(full, cfg.output)
             digest = hashlib.sha256(open(full, "rb").read()).hexdigest()
             entries.append(f"{digest}  {rel}")
-    path = _out(cfg, "manifest.txt")
-    _write_text(path, "\n".join(sorted(entries)) + "\n")
-    return path
+    return _write(cfg, "manifest.txt", "\n".join(sorted(entries)) + "\n")
 
 
 def run_pipeline(cfg: PipelineConfig) -> str:

@@ -7,6 +7,7 @@ import datetime as dt
 
 import numpy as np
 
+from epicurve.infotheory import ContingencyTable, entropy
 from epicurve.ingest import RateSeries
 
 START = dt.date(2022, 3, 25)
@@ -162,3 +163,47 @@ def naive_ward_reference(x: np.ndarray):
         active.add(node)
         node += 1
     return merges
+
+
+def oracle_joint_conditional_entropy(y, cols) -> float:
+    """H(Y | F) by a dict-of-dicts row loop: groups of F and the Y cells
+    within a group are visited in first-occurrence order."""
+    y = np.asarray(y, dtype=int)
+    cols = [np.asarray(c, dtype=int) for c in cols]
+    n = y.size
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for i in range(n):
+        key = tuple(int(c[i]) for c in cols)
+        cell = groups.setdefault(key, {})
+        cell[int(y[i])] = cell.get(int(y[i]), 0) + 1
+    h = 0.0
+    for cell in groups.values():
+        counts = list(cell.values())
+        nk = sum(counts)
+        h += (nk / n) * entropy(counts)
+    return h
+
+
+def oracle_contingency(x, y) -> ContingencyTable:
+    """Cross-tabulation by a row loop over sorted distinct labels."""
+    x = np.asarray(x, dtype=int)
+    y = np.asarray(y, dtype=int)
+    row_labels = tuple(int(v) for v in np.unique(x))
+    col_labels = tuple(int(v) for v in np.unique(y))
+    counts = np.zeros((len(row_labels), len(col_labels)), dtype=int)
+    ri = {v: i for i, v in enumerate(row_labels)}
+    ci = {v: i for i, v in enumerate(col_labels)}
+    for a, b in zip(x, y):
+        counts[ri[int(a)], ci[int(b)]] += 1
+    return ContingencyTable(row_labels, col_labels, counts)
+
+
+def oracle_conditional_entropy(t: ContingencyTable) -> float:
+    """H(col | row) as a loop over rows in ascending label order."""
+    n = t.total
+    h = 0.0
+    for row in t.counts:
+        nr = row.sum()
+        if nr > 0:
+            h += (nr / n) * entropy(row)
+    return h

@@ -1,0 +1,200 @@
+"""The joint-count entropy kernel against the slow row-loop oracles.
+
+Every comparison is bit for bit (``float.hex``, so the sign of zero
+counts too): near-tied conditional entropies decide the row order of the
+ranked scan CSVs, so "approximately equal" is not enough.
+"""
+
+from itertools import combinations
+from math import comb
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epicurve import infotheory
+from epicurve.infotheory import (
+    CategoricalMatrix,
+    _conditional_entropies,
+    _dense,
+    association_matrices,
+    conditional_entropy,
+    contingency,
+    entropy,
+)
+from epicurve.major_factor import (
+    _marginal_entropy,
+    joint_conditional_entropy,
+    noise_threshold,
+    scan,
+)
+
+from helpers import (
+    oracle_conditional_entropy,
+    oracle_contingency,
+    oracle_joint_conditional_entropy,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def columns(draw, min_cols=1, max_cols=4, max_rows=40, min_label=0):
+    """(y, [column, ...]): small categorical columns of one length."""
+    n = draw(st.integers(1, max_rows))
+
+    def column(max_label):
+        return np.array(draw(st.lists(st.integers(min_label, max_label),
+                                      min_size=n, max_size=n)))
+
+    y = column(draw(st.integers(0, 11)))
+    k = draw(st.integers(min_cols, max_cols))
+    return y, [column(draw(st.integers(0, 5))) for _ in range(k)]
+
+
+def with_batch_cells(cells):
+    return mock.patch.object(infotheory, "BATCH_CELLS", cells)
+
+
+class TestFirstSeenOrder:
+    @SETTINGS
+    @given(columns(max_cols=3, min_label=-2))
+    def test_joint_ce_matches_oracle(self, data):
+        y, cols = data
+        assert (float(joint_conditional_entropy(y, cols)).hex()
+                == float(oracle_joint_conditional_entropy(y, cols)).hex())
+
+    @SETTINGS
+    @given(columns(max_cols=4), st.integers(1, 200))
+    def test_batch_of_all_sets_spanning_chunks(self, data, cells):
+        y, cols = data
+        codes = np.array([_dense(c) for c in cols])
+        for k in range(1, len(cols) + 1):
+            sets = list(combinations(range(len(cols)), k))
+            with with_batch_cells(cells):
+                got = _conditional_entropies(y, codes, sets)
+            want = [oracle_joint_conditional_entropy(y, [cols[i] for i in s])
+                    for s in sets]
+            assert hexes(got) == hexes(want)
+
+    @SETTINGS
+    @given(columns(max_cols=2))
+    def test_all_pure_partition_is_positive_zero(self, data):
+        _, cols = data
+        y = 3 * cols[0] + 1  # a function of the first column
+        assert float(joint_conditional_entropy(y, cols)).hex() == "0x0.0p+0"
+        assert float(oracle_joint_conditional_entropy(y, cols)).hex() == "0x0.0p+0"
+
+    @SETTINGS
+    @given(columns(max_cols=1))
+    def test_single_group(self, data):
+        y, _ = data
+        constant = np.zeros_like(y)
+        assert (float(joint_conditional_entropy(y, [constant])).hex()
+                == float(oracle_joint_conditional_entropy(y, [constant])).hex())
+
+    def test_one_row(self):
+        for y, x in (([0], [0]), ([5], [2])):
+            assert float(joint_conditional_entropy(y, [x])).hex() == "0x0.0p+0"
+
+    def test_many_y_categories_use_numpy_sum_order(self):
+        # groups with 8 or more Y cells are summed pairwise by np.sum
+        rng = np.random.default_rng(0)
+        y = rng.integers(0, 40, size=600)
+        x = rng.integers(0, 3, size=600)
+        assert (float(joint_conditional_entropy(y, [x])).hex()
+                == float(oracle_joint_conditional_entropy(y, [x])).hex())
+
+
+class TestSortedOrder:
+    @SETTINGS
+    @given(columns(max_cols=3, min_label=-1))
+    def test_contingency_and_conditional_entropy_match_oracle(self, data):
+        y, cols = data
+        for x in cols:
+            t, want = contingency(x, y), oracle_contingency(x, y)
+            assert (t.row_labels, t.col_labels) == (want.row_labels, want.col_labels)
+            assert np.array_equal(t.counts, want.counts)
+            assert (float(conditional_entropy(t)).hex()
+                    == float(oracle_conditional_entropy(want)).hex())
+
+    @SETTINGS
+    @given(columns(max_cols=4), st.integers(1, 200))
+    def test_batched_kernel_matches_table_oracle(self, data, cells):
+        y, cols = data
+        with with_batch_cells(cells):
+            got = _conditional_entropies(
+                y, np.array(cols), [[i] for i in range(len(cols))], first_seen=False)
+        want = [oracle_conditional_entropy(oracle_contingency(x, y)) for x in cols]
+        assert hexes(got) == hexes(want)
+
+    def test_association_matrices_match_oracle(self):
+        rng = np.random.default_rng(1)
+        cells = rng.integers(0, 5, size=(90, 6))
+        m = CategoricalMatrix(tuple(f"u{i}" for i in range(90)),
+                              tuple(f"f{j}" for j in range(6)), cells)
+        got = association_matrices(m)
+        for i in range(6):
+            for j in range(6):
+                if i == j:
+                    continue
+                t = oracle_contingency(cells[:, i], cells[:, j])
+                want = oracle_conditional_entropy(t) / entropy(t.col_sums)
+                assert float(got.directed[i, j]).hex() == float(want).hex()
+
+
+class TestScan:
+    @SETTINGS
+    @given(columns(min_cols=1, max_cols=5, max_rows=30))
+    def test_every_order_matches_oracle(self, data):
+        y, cols = data
+        candidates = {f"c{i}": c for i, c in enumerate(cols)}
+        h_y = _marginal_entropy(y)
+
+        def ce(names):
+            if not names:
+                return h_y
+            return oracle_joint_conditional_entropy(y, [candidates[n] for n in names])
+
+        for k, level in enumerate(scan(y, candidates, 3), start=1):
+            assert len(level) == comb(len(cols), k)
+            for r in level:
+                names = r.feature_names
+                assert float(r.ce).hex() == float(ce(names)).hex()
+                sce = min(ce(names[:i] + names[i + 1:]) - r.ce for i in range(k))
+                assert float(r.sce_drop).hex() == float(sce).hex()
+                assert float(r.ce_drop).hex() == float(h_y - r.ce).hex()
+            assert level == sorted(level, key=lambda r: (r.ce, r.feature_names))
+
+
+class TestNoiseThreshold:
+    @settings(max_examples=40, deadline=None)
+    @given(columns(max_cols=2, max_rows=30), st.integers(1, 30), st.integers(0, 5))
+    def test_chunking_does_not_change_stats(self, data, replicates, seed):
+        y, cols = data
+        existing, candidate = cols[:-1], cols[-1]
+        with with_batch_cells(1):
+            one_per_chunk = noise_threshold(y, existing, candidate, replicates, seed)
+        with with_batch_cells(1 << 30):
+            one_chunk = noise_threshold(y, existing, candidate, replicates, seed)
+        assert one_per_chunk == one_chunk
+        assert one_chunk == noise_threshold(y, existing, candidate, replicates, seed)
+
+    def test_matches_replicate_loop_oracle(self):
+        rng = np.random.default_rng(2)
+        y = rng.integers(0, 3, size=50)
+        x = rng.integers(0, 4, size=50)
+        drops = np.array([
+            _marginal_entropy(y) - oracle_joint_conditional_entropy(
+                y, [np.random.default_rng([7, r]).permutation(x)])
+            for r in range(60)
+        ])
+        stats = noise_threshold(y, [], x, replicates=60, seed=7)
+        assert stats.mean == float(drops.mean())
+        assert stats.sd == float(drops.std())
+        assert stats.q95 == float(np.percentile(drops, 95))

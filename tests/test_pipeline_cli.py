@@ -176,3 +176,114 @@ class TestCli:
         pipeline.run_pipeline(dataclasses.replace(cfg, output=lib_out))
         assert self.run(synthetic_dir, "all", "--out", cli_out).exit_code == 0
         assert digest_dir(lib_out) == digest_dir(cli_out)
+
+
+def _restarts_zero(d):
+    d["fusions"][0]["restarts"] = 0
+
+
+def _replicates_zero(d):
+    d["responses"][0]["replicates"] = 0
+
+
+def _top_negative(d):
+    d["responses"][0]["top"] = -1
+
+
+def _bottom_negative(d):
+    d["responses"][0]["bottom"] = -1
+
+
+def _duplicate_fusion(d):
+    d["fusions"].append(dict(d["fusions"][0]))
+
+
+def _duplicate_clustering(d):
+    d["clusterings"].append(dict(d["clusterings"][0]))
+
+
+def _duplicate_response(d):
+    d["responses"].append(dict(d["responses"][0]))
+
+
+def _fusion_named_like_feature(d):
+    d["fusions"][0]["name"] = "left80"
+    d["responses"][0]["candidates"] = ["left80", "right50"]
+
+
+def _unsafe_fusion_name(d):
+    d["fusions"][0]["name"] = "a/b"
+    d["responses"][0]["candidates"] = ["a/b", "left80"]
+
+
+def _unsafe_clustering_name(d):
+    d["clusterings"][0]["name"] = "../left"
+
+
+INVALID_CONFIGS = [
+    (_restarts_zero, "restarts must be >= 1"),
+    (_replicates_zero, "replicates must be >= 1"),
+    (_top_negative, "top, bottom >= 0"),
+    (_bottom_negative, "top, bottom >= 0"),
+    (_duplicate_fusion, "duplicate fusion name"),
+    (_duplicate_clustering, "duplicate clustering name"),
+    (_duplicate_response, "duplicate response name"),
+    (_fusion_named_like_feature, "collides with a data column"),
+    (_unsafe_fusion_name, "not safe in a file name"),
+    (_unsafe_clustering_name, "not safe in a file name"),
+]
+
+
+class TestConfigValidationExit2:
+    @pytest.mark.parametrize("mutate, message", INVALID_CONFIGS,
+                             ids=[f.__name__.strip("_") for f, _ in INVALID_CONFIGS])
+    def test_rejected_with_exit_2(self, synthetic_dir, tmp_path, mutate, message):
+        data = base_config(synthetic_dir)
+        data["cases"] = str(synthetic_dir / "cases.csv")
+        data["metadata"] = str(synthetic_dir / "meta.csv")
+        mutate(data)
+        p = tmp_path / "bad.yaml"
+        with open(p, "w") as fh:
+            yaml.safe_dump(data, fh)
+        res = CliRunner().invoke(main, ["all", "--config", str(p),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("config error:") and message in res.output
+        assert not os.path.exists(tmp_path / "o")
+
+
+class TestReportRoundTrip:
+    def test_underscore_fusion_name(self, synthetic_dir, tmp_path):
+        data = base_config(synthetic_dir)
+        data["cases"] = str(synthetic_dir / "cases.csv")
+        data["metadata"] = str(synthetic_dir / "meta.csv")
+        data["fusions"][0]["name"] = "left_block"
+        data["responses"][0]["candidates"] = ["left_block", "left80", "right50",
+                                              "peakvalue"]
+        data["responses"][0]["order"] = 3
+        p = tmp_path / "underscore.yaml"
+        with open(p, "w") as fh:
+            yaml.safe_dump(data, fh)
+        out = tmp_path / "o"
+        runner = CliRunner()
+        for stage in ("all", "report"):
+            res = runner.invoke(main, [stage, "--config", str(p), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            if stage == "all":
+                written = {ext: (out / f"report_region.{ext}").read_bytes()
+                           for ext in ("txt", "md")}
+                assert b"left_block" in written["txt"]
+        for ext in ("txt", "md"):
+            assert (out / f"report_region.{ext}").read_bytes() == written[ext]
+
+    def test_ambiguous_features_cell_is_a_data_error(self, tmp_path):
+        from epicurve.errors import DataError
+
+        path = tmp_path / "scan.csv"
+        path.write_text("features,ce,rescaled_ce,ce_drop,sce_drop,null_mean,"
+                        "null_q95,significant,classification\n"
+                        "a_b,0.1,0.1,0.1,0.1,,,,\n")
+        with pytest.raises(DataError, match="ambiguous"):
+            pipeline.read_scan_csv(str(path), ["a", "b", "a_b"])
+        with pytest.raises(DataError, match="unknown"):
+            pipeline.read_scan_csv(str(path), ["a", "c"])
