@@ -84,8 +84,10 @@ _stage_command("cluster", pipeline.stage_cluster,
 @main.command(help="Re-render ranked reports from existing scan CSVs.")
 @config_opt
 @out_opt
-@click.option("--top", type=int, default=None, help="Top-ranked rows to show.")
-@click.option("--bottom", type=int, default=None, help="Bottom-ranked rows to show.")
+@click.option("--top", type=click.IntRange(min=0), default=None,
+              help="Top-ranked rows to show.")
+@click.option("--bottom", type=click.IntRange(min=0), default=None,
+              help="Bottom-ranked rows to show.")
 def report(config_path, out, top, bottom):
     _run(lambda: pipeline.stage_report(_load(config_path, out), top, bottom))
 

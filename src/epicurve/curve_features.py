@@ -18,7 +18,7 @@ from __future__ import annotations
 import datetime as dt
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,17 +90,29 @@ class CurveFeatures:
         return row
 
 
+def smooth_rows(unit_ids: Sequence[str], rates: np.ndarray) -> np.ndarray:
+    """Apply the 13-day triangular moving average to each row of a
+    units × days rate matrix; the result is 12 days narrower.
+    """
+    units, days = rates.shape
+    if days < 13 and units:
+        raise ComputationError(
+            f"{unit_ids[0]}: series of length {days} too short to smooth (need 13)"
+        )
+    out = np.empty((units, max(days - 12, 0)))
+    for i, row in enumerate(rates):
+        # row by row: a whole-matrix convolution rounds differently
+        out[i] = np.convolve(row, KERNEL, mode="valid")
+    return out
+
+
 def smooth(series: RateSeries) -> SmoothedSeries:
     """Apply the 13-day triangular moving average.
 
     Output is 12 days shorter than the input and starts 6 days later.
     """
     x = np.asarray(series.rates, dtype=float)
-    if x.size < 13:
-        raise ComputationError(
-            f"{series.unit_id}: series of length {x.size} too short to smooth (need 13)"
-        )
-    values = np.convolve(x, KERNEL, mode="valid")
+    values = smooth_rows([series.unit_id], x[None, :])[0]
     return SmoothedSeries(
         unit_id=series.unit_id,
         start_date=series.start_date + dt.timedelta(days=6),
@@ -163,6 +175,89 @@ def right_crossing(s: SmoothedSeries, alpha: float) -> Optional[int]:
     return t_max + 1 + int(idx[0])
 
 
+def _crossings(v: np.ndarray, suffix_max: np.ndarray, peak: np.ndarray,
+               alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise left_crossing and right_crossing at ``alpha``; -1 marks a
+    censored crossing.
+
+    ``suffix_max[:, t]`` is the maximum of ``v[:, t:]``. It is at least the
+    peak up to the peak day and falls monotonically after it, so the days
+    on which it reaches the threshold are exactly those before the right
+    crossing.
+    """
+    threshold = ((1.0 - alpha) * peak)[:, None]
+    left = (v >= threshold).argmax(axis=1)
+    right = (suffix_max >= threshold).sum(axis=1)
+    return (np.where(left == 0, -1, left),
+            np.where(right == v.shape[1], -1, right))
+
+
+def extract_features_batch(unit_ids: Sequence[str], start_date: dt.date,
+                           values: np.ndarray) -> list[CurveFeatures]:
+    """extract_features for each row of a units × days matrix of smoothed
+    curves that share ``start_date``.
+
+    Results, warnings and errors are those of extract_features called row
+    by row in order: the first failing row raises after the warnings of
+    the rows before it.
+    """
+    v = np.asarray(values, dtype=float)
+    units, days = v.shape
+    if days == 0:
+        if units:
+            raise ComputationError(f"{unit_ids[0]}: empty smoothed series")
+        return []
+    t_max = v.argmax(axis=1)
+    peak = v[np.arange(units), t_max]
+    edge = (t_max < 6) | (t_max > days - 7)
+    suffix_max = np.maximum.accumulate(v[:, ::-1], axis=1)[:, ::-1]
+    l01, r01 = _crossings(v, suffix_max, peak, 0.1)
+    failed = (peak <= 0.0) | (~edge & ((l01 < 0) | (r01 < 0)))
+    stop = int(failed.argmax()) if failed.any() else units
+
+    for i in range(stop):
+        if edge[i]:
+            if t_max[i] in (0, days - 1):
+                warnings.warn(f"{unit_ids[i]}: boundary peak at day {t_max[i]}",
+                              BoundaryPeakWarning)
+            warnings.warn(
+                f"{unit_ids[i]}: peak within 6 days of the window edge; "
+                "curvature-dependent features set to NA",
+                BoundaryPeakWarning,
+            )
+    if stop < units:
+        if peak[stop] <= 0.0:
+            raise ComputationError(
+                f"{unit_ids[stop]}: no infection signal (all-zero curve)")
+        raise ComputationError(
+            f"{unit_ids[stop]}: cannot center curve (a 90%-of-peak crossing is censored)"
+        )
+
+    t0 = (l01 + r01) // 2
+    left, right = {}, {}
+    for a in FEATURE_ALPHAS:  # one alpha at a time keeps memory at units × days
+        la, ra = _crossings(v, suffix_max, peak, a)
+        left[a] = [None if c < 0 else s for c, s in zip(la.tolist(), (t0 - la).tolist())]
+        right[a] = [None if c < 0 else s for c, s in zip(ra.tolist(), (ra - t0).tolist())]
+
+    out = []
+    for i, (unit, t, p, t0_i, c) in enumerate(zip(
+            unit_ids, t_max.tolist(), peak.tolist(), t0.tolist(),
+            (r01 - l01).tolist())):
+        centered = not edge[i]
+        out.append(CurveFeatures(
+            unit_id=unit,
+            peakdate=start_date + dt.timedelta(days=t),
+            peakvalue=p,
+            robust_peak=t0_i if centered else None,
+            peak=t - t0_i if centered else None,
+            curvature=c if centered else None,
+            left={a: left[a][i] if centered else None for a in FEATURE_ALPHAS},
+            right={a: right[a][i] if centered else None for a in FEATURE_ALPHAS},
+        ))
+    return out
+
+
 def extract_features(s: SmoothedSeries) -> CurveFeatures:
     """Derive the full feature set of one smoothed curve.
 
@@ -171,51 +266,5 @@ def extract_features(s: SmoothedSeries) -> CurveFeatures:
     lies within 6 days of either window edge the curvature-dependent
     fields are NA (with a warning) instead of failing the unit.
     """
-    t_max, peak = find_peak(s)
-    peakdate = s.start_date + dt.timedelta(days=t_max)
-    n = len(s.values)
-
-    if t_max < 6 or t_max > n - 7:
-        warnings.warn(
-            f"{s.unit_id}: peak within 6 days of the window edge; "
-            "curvature-dependent features set to NA",
-            BoundaryPeakWarning,
-        )
-        return CurveFeatures(
-            unit_id=s.unit_id,
-            peakdate=peakdate,
-            peakvalue=peak,
-            robust_peak=None,
-            peak=None,
-            curvature=None,
-            left={a: None for a in FEATURE_ALPHAS},
-            right={a: None for a in FEATURE_ALPHAS},
-        )
-
-    l01 = left_crossing(s, 0.1)
-    r01 = right_crossing(s, 0.1)
-    if l01 is None or r01 is None:
-        raise ComputationError(
-            f"{s.unit_id}: cannot center curve (a 90%-of-peak crossing is censored)"
-        )
-    t0 = (l01 + r01) // 2
-    curvature = r01 - l01
-
-    left: dict[float, Optional[int]] = {}
-    right: dict[float, Optional[int]] = {}
-    for a in FEATURE_ALPHAS:
-        la = left_crossing(s, a)
-        ra = right_crossing(s, a)
-        left[a] = None if la is None else t0 - la
-        right[a] = None if ra is None else ra - t0
-
-    return CurveFeatures(
-        unit_id=s.unit_id,
-        peakdate=peakdate,
-        peakvalue=peak,
-        robust_peak=t0,
-        peak=t_max - t0,
-        curvature=curvature,
-        left=left,
-        right=right,
-    )
+    values = np.asarray(s.values, dtype=float)[None, :]
+    return extract_features_batch([s.unit_id], s.start_date, values)[0]

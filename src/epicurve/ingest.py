@@ -36,7 +36,7 @@ class RawSeries:
     def __post_init__(self):
         if len(self.counts) < 1:
             raise DataError(f"{self.unit_id}: empty count series")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise DataError(f"{self.unit_id}: negative count")
 
     @property
@@ -87,43 +87,70 @@ def _parse_date(text: str, row_no: int) -> dt.date:
         raise DataError(f"row {row_no}: unparseable date {text!r}") from exc
 
 
+CASE_COLUMNS = ("unit_id", "date", "count")
+META_COLUMNS = ("unit_id", "city_code", "district_letter", "age_group",
+                "population", "region", "status")
+
+
 def parse_case_series(path) -> dict[str, RawSeries]:
     """Read a case CSV into one RawSeries per unit.
 
     Rows for a unit may appear in any order but must cover consecutive
-    days exactly once. Errors report the offending row number.
+    days exactly once. Errors report the offending row number; blank
+    lines are skipped and not numbered.
     """
-    per_unit: dict[str, dict[dt.date, int]] = {}
+    per_unit: dict[str, dict[int, int]] = {}
+    # Cells are looked up by their raw text, so each distinct unit and
+    # date text is stripped and parsed once.
+    units: dict[str, dict[int, int]] = {}
+    ordinals: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"unit_id", "date", "count"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        # a repeated column name resolves to its last copy, as in csv.DictReader
+        index = {name: i for i, name in enumerate(next(reader, None) or ())}
+        if not index.keys() >= set(CASE_COLUMNS):
             raise DataError(f"{path}: expected header unit_id,date,count")
-        for row_no, row in enumerate(reader, start=2):
-            unit = row["unit_id"].strip()
-            if not unit:
-                raise DataError(f"row {row_no}: empty unit_id")
-            day = _parse_date(row["date"].strip(), row_no)
+        i_unit, i_date, i_count = (index[c] for c in CASE_COLUMNS)
+        width = max(i_unit, i_date, i_count) + 1
+        row_no = 1
+        for row in reader:
+            if not row:
+                continue
+            row_no += 1
+            if len(row) < width:
+                missing = [c for c in CASE_COLUMNS if index[c] >= len(row)]
+                raise DataError(f"row {row_no}: missing {', '.join(missing)}")
+            days = units.get(row[i_unit])
+            if days is None:
+                unit = row[i_unit].strip()
+                if not unit:
+                    raise DataError(f"row {row_no}: empty unit_id")
+                days = units[row[i_unit]] = per_unit.setdefault(unit, {})
+            day = ordinals.get(row[i_date])
+            if day is None:
+                day = _parse_date(row[i_date].strip(), row_no).toordinal()
+                ordinals[row[i_date]] = day
             try:
-                count = int(row["count"])
+                count = int(row[i_count])
             except ValueError as exc:
                 raise DataError(
-                    f"row {row_no}: unparseable count {row['count']!r}"
+                    f"row {row_no}: unparseable count {row[i_count]!r}"
                 ) from exc
             if count < 0:
-                raise DataError(f"row {row_no}: negative count for {unit}")
-            days = per_unit.setdefault(unit, {})
+                raise DataError(f"row {row_no}: negative count for {row[i_unit].strip()}")
             if day in days:
-                raise DataError(f"row {row_no}: duplicate ({unit}, {day})")
+                raise DataError(f"row {row_no}: duplicate ({row[i_unit].strip()}, "
+                                f"{dt.date.fromordinal(day)})")
             days[day] = count
 
     out: dict[str, RawSeries] = {}
     for unit, days in per_unit.items():
-        ordered = sorted(days)
-        start, end = ordered[0], ordered[-1]
-        if (end - start).days + 1 != len(ordered):
-            raise DataError(f"{unit}: gap in day axis between {start} and {end}")
-        counts = tuple(days[start + dt.timedelta(days=i)] for i in range(len(ordered)))
+        first, last = min(days), max(days)
+        start = dt.date.fromordinal(first)
+        if last - first + 1 != len(days):
+            raise DataError(f"{unit}: gap in day axis between {start} "
+                            f"and {dt.date.fromordinal(last)}")
+        counts = tuple(map(days.__getitem__, range(first, last + 1)))
         out[unit] = RawSeries(unit_id=unit, start_date=start, counts=counts)
     return out
 
@@ -144,13 +171,12 @@ def parse_unit_metadata(path) -> dict[str, UnitMeta]:
     out: dict[str, UnitMeta] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {
-            "unit_id", "city_code", "district_letter", "age_group",
-            "population", "region", "status",
-        }
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        if reader.fieldnames is None or not set(META_COLUMNS).issubset(reader.fieldnames):
             raise DataError(f"{path}: unexpected metadata header")
         for row_no, row in enumerate(reader, start=2):
+            missing = [c for c in META_COLUMNS if row[c] is None]
+            if missing:
+                raise DataError(f"row {row_no}: missing {', '.join(missing)}")
             unit = row["unit_id"].strip()
             if unit in out:
                 raise DataError(f"row {row_no}: duplicate unit {unit!r}")
@@ -192,8 +218,8 @@ def compute_daily_rates(
     return RateSeries(unit_id=series.unit_id, start_date=series.start_date, rates=rates)
 
 
-def window_clip(series: RateSeries, start: dt.date, end: dt.date) -> RateSeries:
-    """Return the sub-series covering exactly [start, end]."""
+def window_slice(series, start: dt.date, end: dt.date) -> slice:
+    """Index range of the days [start, end] in a RawSeries or RateSeries."""
     if start > end:
         raise DataError(f"window start {start} after end {end}")
     if start < series.start_date or end > series.end_date:
@@ -202,5 +228,10 @@ def window_clip(series: RateSeries, start: dt.date, end: dt.date) -> RateSeries:
             f"[{series.start_date}, {series.end_date}]"
         )
     i = (start - series.start_date).days
-    j = (end - series.start_date).days + 1
-    return RateSeries(unit_id=series.unit_id, start_date=start, rates=series.rates[i:j])
+    return slice(i, i + (end - start).days + 1)
+
+
+def window_clip(series: RateSeries, start: dt.date, end: dt.date) -> RateSeries:
+    """Return the sub-series covering exactly [start, end]."""
+    return RateSeries(unit_id=series.unit_id, start_date=start,
+                      rates=series.rates[window_slice(series, start, end)])

@@ -28,10 +28,9 @@ from .curve_features import FEATURE_COLUMNS, SHAPE_FEATURES
 from .errors import ConfigError, DataError
 from .ingest import (
     DEFAULT_RATE_SCALE,
-    compute_daily_rates,
     parse_case_series,
     parse_unit_metadata,
-    window_clip,
+    window_slice,
 )
 
 #: Default study window (configurable).
@@ -291,39 +290,69 @@ def _fmt(v: Optional[float]) -> str:
 # stage: features
 
 def stage_features(cfg: PipelineConfig) -> str:
-    """Parse raw inputs and write the per-unit feature CSV."""
+    """Parse raw inputs and write the per-unit feature CSV.
+
+    The window's counts of every unit form one units × days matrix, so
+    rates, smoothing and crossings run over whole arrays.
+    """
     series = parse_case_series(cfg.cases)
     meta = parse_unit_metadata(cfg.metadata)
-    rows = []
-    for unit in sorted(series):
+    units = sorted(series)
+    days = (cfg.window_end - cfg.window_start).days + 1
+    # a reversed window is reported by window_slice below
+    counts = np.empty((len(units), max(days, 0)), dtype=np.int64)
+    population = np.empty(len(units), dtype=np.int64)
+    for i, unit in enumerate(units):
         if unit not in meta:
             raise DataError(f"{unit}: case data without metadata")
-        rates = compute_daily_rates(series[unit], meta[unit], cfg.rate_scale)
-        rates = window_clip(rates, cfg.window_start, cfg.window_end)
-        smoothed = curve_features.smooth(rates)
-        feats = curve_features.extract_features(smoothed)
-        rows.append(feats.as_row())
+        s = series[unit]
+        counts[i] = s.counts[window_slice(s, cfg.window_start, cfg.window_end)]
+        population[i] = meta[unit].population
+    rates = counts / population[:, None] * cfg.rate_scale
+    smoothed = curve_features.smooth_rows(units, rates)
+    feats = curve_features.extract_features_batch(
+        units, cfg.window_start + dt.timedelta(days=6), smoothed)
 
     return _write_csv(cfg, "features.csv", ["unit_id"] + list(FEATURE_COLUMNS), (
         [row["unit_id"], row["peakdate"]] + [_fmt(row[c]) for c in FEATURE_COLUMNS[1:]]
-        for row in rows
+        for row in map(curve_features.CurveFeatures.as_row, feats)
     ))
+
+
+def _read_artifact(path: str, required):
+    """(header, rows) of a CSV artifact whose header holds ``required`` and
+    whose rows all have the header's width; blank lines are skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        rows = [row for row in reader if row]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DataError(f"{path}: header lacks {', '.join(missing)}")
+    for row_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {row_no} has {len(row)} cells, "
+                            f"expected {len(header)}")
+    return header, rows
 
 
 def read_features_csv(path: str):
     """Read features.csv into (unit_ids, {column: list of float or None})."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        units = []
-        columns: dict[str, list] = {c: [] for c in FEATURE_COLUMNS}
-        for row in reader:
-            units.append(row["unit_id"])
-            for c in FEATURE_COLUMNS:
-                raw = row.get(c, "")
-                if c == "peakdate":
-                    columns[c].append(dt.date.fromisoformat(raw))
-                else:
-                    columns[c].append(float(raw) if raw else None)
+    header, rows = _read_artifact(path, ["unit_id"] + list(FEATURE_COLUMNS))
+    index = {c: i for i, c in enumerate(header)}
+    i_unit, i_date = index["unit_id"], index["peakdate"]
+    numeric = [(c, index[c]) for c in FEATURE_COLUMNS[1:]]
+    units = []
+    columns: dict[str, list] = {c: [] for c in FEATURE_COLUMNS}
+    for row_no, row in enumerate(rows, start=2):
+        units.append(row[i_unit])
+        c, i = "peakdate", i_date
+        try:
+            columns[c].append(dt.date.fromisoformat(row[i]))
+            for c, i in numeric:
+                columns[c].append(float(row[i]) if row[i] else None)
+        except ValueError as exc:
+            raise DataError(f"{path}: row {row_no}: unparseable {c} {row[i]!r}") from exc
     return units, columns
 
 
@@ -385,15 +414,18 @@ def stage_associate(cfg: PipelineConfig) -> list[str]:
 
 def read_categorical_csv(path: str):
     """Read categorical.csv into (unit_ids, {column: int array})."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        names = [c for c in reader.fieldnames if c != "unit_id"]
-        units = []
-        columns: dict[str, list[int]] = {c: [] for c in names}
-        for row in reader:
-            units.append(row["unit_id"])
-            for c in names:
-                columns[c].append(int(row[c]))
+    header, rows = _read_artifact(path, ["unit_id"])
+    index = {c: i for i, c in enumerate(header)}
+    i_unit = index.pop("unit_id")
+    units = []
+    columns: dict[str, list[int]] = {c: [] for c in index}
+    for row_no, row in enumerate(rows, start=2):
+        units.append(row[i_unit])
+        try:
+            for c, i in index.items():
+                columns[c].append(int(row[i]))
+        except ValueError as exc:
+            raise DataError(f"{path}: row {row_no}: unparseable {c} {row[i]!r}") from exc
     return units, {c: np.array(v) for c, v in columns.items()}
 
 
@@ -487,6 +519,10 @@ def _scan_response(cfg: PipelineConfig, spec: ResponseSpec, units, cat_columns):
     return annotated1, annotated2, scan3, nulls
 
 
+SCAN_COLUMNS = ("features", "ce", "rescaled_ce", "ce_drop", "sce_drop",
+                "null_mean", "null_q95", "significant", "classification")
+
+
 def _scan_rows(scans, nulls):
     for r in scans:
         null = nulls[r.feature_names[0]] if len(r.feature_names) == 1 else None
@@ -516,8 +552,7 @@ def stage_select(cfg: PipelineConfig) -> list[str]:
         scan1, scan2, scan3, nulls = _scan_response(cfg, spec, units, cat_columns)
         written.append(_write_csv(
             cfg, f"scan_{spec.response}.csv",
-            ["features", "ce", "rescaled_ce", "ce_drop", "sce_drop",
-             "null_mean", "null_q95", "significant", "classification"],
+            SCAN_COLUMNS,
             _scan_rows(scan1 + scan2 + scan3, nulls)))
         written.extend(_write_reports(cfg, spec.response, scan1, scan2,
                                       spec.top, spec.bottom))
@@ -580,24 +615,27 @@ def _split_features(cell: str, candidates) -> tuple[str, ...]:
 def read_scan_csv(path: str, candidates):
     """Read a scan CSV back into (order-1 results, order-2 results); feature
     names, which may contain ``_``, are matched against ``candidates``."""
+    header, rows = _read_artifact(path, SCAN_COLUMNS)
     scan1, scan2 = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            names = _split_features(row["features"], candidates)
-            r = major_factor.FeatureSetResult(
-                feature_names=names,
-                ce=float(row["ce"]),
-                rescaled_ce=float(row["rescaled_ce"]),
-                ce_drop=float(row["ce_drop"]),
-                sce_drop=float(row["sce_drop"]),
-                significant=(row["significant"] == "true")
-                if row["significant"] else None,
-                classification=row["classification"] or None,
-            )
-            if len(names) == 1:
-                scan1.append(r)
-            elif len(names) == 2:
-                scan2.append(r)
+    for row_no, cells in enumerate(rows, start=2):
+        row = dict(zip(header, cells))
+        names = _split_features(row["features"], candidates)
+        values = {}
+        try:
+            for c in ("ce", "rescaled_ce", "ce_drop", "sce_drop"):
+                values[c] = float(row[c])
+        except ValueError as exc:
+            raise DataError(f"{path}: row {row_no}: unparseable {c} {row[c]!r}") from exc
+        r = major_factor.FeatureSetResult(
+            feature_names=names,
+            **values,
+            significant=(row["significant"] == "true") if row["significant"] else None,
+            classification=row["classification"] or None,
+        )
+        if len(names) == 1:
+            scan1.append(r)
+        elif len(names) == 2:
+            scan2.append(r)
     return scan1, scan2
 
 

@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import warnings
 
 import numpy as np
 
+from epicurve.curve_features import (
+    FEATURE_ALPHAS,
+    BoundaryPeakWarning,
+    CurveFeatures,
+    find_peak,
+    left_crossing,
+    right_crossing,
+)
+from epicurve.errors import ComputationError, DataError
 from epicurve.infotheory import ContingencyTable, entropy
-from epicurve.ingest import RateSeries
+from epicurve.ingest import RateSeries, RawSeries
 
 START = dt.date(2022, 3, 25)
 END = dt.date(2022, 8, 19)
@@ -207,3 +217,94 @@ def oracle_conditional_entropy(t: ContingencyTable) -> float:
         if nr > 0:
             h += (nr / n) * entropy(row)
     return h
+
+
+def oracle_extract_features(s) -> CurveFeatures:
+    """Features of one smoothed curve from the scalar peak and crossing
+    functions: one find_peak plus one left/right crossing scan per alpha."""
+    t_max, peak = find_peak(s)
+    peakdate = s.start_date + dt.timedelta(days=t_max)
+    n = len(s.values)
+
+    if t_max < 6 or t_max > n - 7:
+        warnings.warn(
+            f"{s.unit_id}: peak within 6 days of the window edge; "
+            "curvature-dependent features set to NA",
+            BoundaryPeakWarning,
+        )
+        return CurveFeatures(
+            unit_id=s.unit_id,
+            peakdate=peakdate,
+            peakvalue=peak,
+            robust_peak=None,
+            peak=None,
+            curvature=None,
+            left={a: None for a in FEATURE_ALPHAS},
+            right={a: None for a in FEATURE_ALPHAS},
+        )
+
+    l01 = left_crossing(s, 0.1)
+    r01 = right_crossing(s, 0.1)
+    if l01 is None or r01 is None:
+        raise ComputationError(
+            f"{s.unit_id}: cannot center curve (a 90%-of-peak crossing is censored)"
+        )
+    t0 = (l01 + r01) // 2
+    left, right = {}, {}
+    for a in FEATURE_ALPHAS:
+        la = left_crossing(s, a)
+        ra = right_crossing(s, a)
+        left[a] = None if la is None else t0 - la
+        right[a] = None if ra is None else ra - t0
+
+    return CurveFeatures(
+        unit_id=s.unit_id,
+        peakdate=peakdate,
+        peakvalue=peak,
+        robust_peak=t0,
+        peak=t_max - t0,
+        curvature=r01 - l01,
+        left=left,
+        right=right,
+    )
+
+
+def oracle_parse_case_series(path) -> dict[str, RawSeries]:
+    """Case CSV parse with csv.DictReader, one date parse and one
+    date-keyed insert per row; rows must have every header cell."""
+    per_unit: dict[str, dict[dt.date, int]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"unit_id", "date", "count"}.issubset(
+                reader.fieldnames):
+            raise DataError(f"{path}: expected header unit_id,date,count")
+        for row_no, row in enumerate(reader, start=2):
+            unit = row["unit_id"].strip()
+            if not unit:
+                raise DataError(f"row {row_no}: empty unit_id")
+            try:
+                day = dt.date.fromisoformat(row["date"].strip())
+            except ValueError as exc:
+                raise DataError(
+                    f"row {row_no}: unparseable date {row['date'].strip()!r}") from exc
+            try:
+                count = int(row["count"])
+            except ValueError as exc:
+                raise DataError(
+                    f"row {row_no}: unparseable count {row['count']!r}") from exc
+            if count < 0:
+                raise DataError(f"row {row_no}: negative count for {unit}")
+            days = per_unit.setdefault(unit, {})
+            if day in days:
+                raise DataError(f"row {row_no}: duplicate ({unit}, {day})")
+            days[day] = count
+
+    out: dict[str, RawSeries] = {}
+    for unit, days in per_unit.items():
+        ordered = sorted(days)
+        start, end = ordered[0], ordered[-1]
+        if (end - start).days + 1 != len(ordered):
+            raise DataError(f"{unit}: gap in day axis between {start} and {end}")
+        counts = tuple(days[start + dt.timedelta(days=i)] for i in range(len(ordered)))
+        out[unit] = RawSeries(unit_id=unit, start_date=start, counts=counts)
+    return out

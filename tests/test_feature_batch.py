@@ -1,0 +1,226 @@
+"""The batch feature kernel against the per-unit oracle loop.
+
+``extract_features_batch`` must give, for every row, what
+``oracle_extract_features`` gives for that row alone: peak values bit for
+bit (``float.hex``), integer spans and NA patterns exactly, the same
+warnings (class and message, unit by unit) and the same first error.
+"""
+
+import dataclasses
+import datetime as dt
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epicurve import curve_features, pipeline
+from epicurve.curve_features import (
+    FEATURE_ALPHAS,
+    FEATURE_COLUMNS,
+    SmoothedSeries,
+    extract_features,
+    extract_features_batch,
+    smooth,
+    smooth_rows,
+)
+from epicurve.errors import ComputationError, DataError
+from epicurve.ingest import (
+    RateSeries,
+    compute_daily_rates,
+    parse_case_series,
+    parse_unit_metadata,
+    window_clip,
+)
+
+from helpers import oracle_extract_features
+
+D0 = dt.date(2022, 3, 31)
+SETTINGS = settings(max_examples=300, deadline=None)
+
+
+def key(f):
+    """Everything a feature row holds, with the peak value as its bits."""
+    spans = [f.robust_peak, f.peak, f.curvature] + [f.left[a] for a in FEATURE_ALPHAS] \
+        + [f.right[a] for a in FEATURE_ALPHAS]
+    assert all(v is None or type(v) is int for v in spans)
+    assert type(f.peakvalue) is float
+    return (f.unit_id, f.peakdate, f.peakvalue.hex(), spans)
+
+
+def outcome(run):
+    """(feature keys, (error class, message) or None, [(warning class, message)])."""
+    feats, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run(feats)
+        except ComputationError as exc:
+            error = (type(exc), str(exc))
+    return ([key(f) for f in feats], error,
+            [(w.category, str(w.message)) for w in caught])
+
+
+def assert_matches_oracle(matrix):
+    matrix = np.asarray(matrix, dtype=float)
+    units = [f"u{i:02d}" for i in range(matrix.shape[0])]
+
+    def batch(feats):
+        feats.extend(extract_features_batch(units, D0, matrix))
+
+    def oracle(feats):
+        for unit, row in zip(units, matrix):
+            feats.append(oracle_extract_features(SmoothedSeries(unit, D0, tuple(row))))
+
+    got, want = outcome(batch), outcome(oracle)
+    if want[1] is not None:
+        # the batch raises before returning any row
+        assert got == ([], want[1], want[2])
+    else:
+        assert got == want
+
+
+def bump(days, peak_day, height, rise, fall, base, floor):
+    """Rise from ``base`` to ``height`` at ``peak_day``, then fall to ``floor``."""
+    t = np.arange(days, dtype=float)
+    up = base + (height - base) * np.clip(1 - (peak_day - t) / rise, 0, 1)
+    down = floor + (height - floor) * np.clip(1 - (t - peak_day) / fall, 0, 1)
+    return np.where(t <= peak_day, up, down)
+
+
+@st.composite
+def curves(draw):
+    """A units × days matrix mixing bumps (ties, plateaus, rebounds and
+    censoring from integer noise), noisy curves and the odd all-zero row,
+    on integer or scaled levels."""
+    days = draw(st.integers(0, 12) | st.integers(13, 60))
+    units = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1.0, 0.37, 1e-3, 7.25]))
+    rows = []
+    for _ in range(units):
+        kind = draw(st.sampled_from(["bump"] * 8 + ["noise", "zero"]))
+        if kind == "zero":
+            row = np.zeros(days)
+        elif kind == "noise":
+            row = np.array(draw(st.lists(st.integers(0, 6), min_size=days,
+                                         max_size=days)), dtype=float)
+        else:
+            height = draw(st.integers(10, 60))
+            row = bump(days, draw(st.integers(-3, days + 3)), height,
+                       draw(st.integers(1, 25)), draw(st.integers(1, 25)),
+                       draw(st.integers(0, height)), draw(st.integers(0, height)))
+            row += np.array(draw(st.lists(st.integers(0, 3), min_size=days,
+                                          max_size=days)))
+            row = np.round(row)
+        rows.append(row * scale)
+    return np.array(rows).reshape(units, days)
+
+
+@SETTINGS
+@given(curves())
+def test_batch_matches_oracle(matrix):
+    assert_matches_oracle(matrix)
+
+
+@SETTINGS
+@given(curves())
+def test_extract_features_is_the_one_row_batch(matrix):
+    for row in matrix:
+        s = SmoothedSeries("u", D0, tuple(row))
+        assert outcome(lambda feats: feats.append(extract_features(s))) == \
+            outcome(lambda feats: feats.append(oracle_extract_features(s)))
+
+
+RAMP = list(range(0, 21, 2)) + list(range(18, -1, -2))  # peak 20 on day 10
+
+CASES = {
+    # ties and plateaus at the peak: the earliest argmax is the peak day
+    "tied_peaks": [RAMP[:8] + [20, 14, 20] + RAMP[11:]],
+    "plateau": [[0, 2, 4, 6, 8, 10, 10, 10, 10, 10, 10, 8, 6, 4, 2, 0, 0, 0, 0]],
+    # peaks on, or within 6 days of, either edge
+    "peak_on_first_day": [[9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0, 0]],
+    "peak_on_last_day": [[0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]],
+    "peak_5_days_in": [[0, 2, 4, 6, 8, 10, 8, 6, 4, 2, 1, 0, 0, 0, 0, 0]],
+    "peak_6_days_in": [[0, 2, 4, 6, 8, 9, 10, 8, 6, 4, 2, 1, 0, 0, 0, 0]],
+    "peak_6_days_from_end": [[0, 0, 0, 0, 1, 2, 4, 6, 8, 9, 10, 8, 6, 4, 2, 1, 0]],
+    "peak_5_days_from_end": [[0, 0, 0, 0, 1, 2, 4, 6, 8, 9, 10, 8, 6, 4, 2, 1]],
+    # left and right censoring at each alpha: start or end at 15 % .. 85 %
+    "left_censored": [[v] + RAMP[1:] for v in range(3, 18, 2)],
+    "right_censored": [RAMP[:-1] + [v] for v in range(3, 18, 2)],
+    # a rebound above the threshold after the peak delays the right crossing
+    "rebound": [[0, 2, 4, 6, 8, 10, 12, 14, 20, 14, 8, 4, 9, 11, 3, 2, 1, 0, 0, 0]],
+    # a row that cannot be centred stops the batch after the rows before it
+    "cannot_center_after_boundary": [[9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0, 0, 0],
+                                     [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 19, 19,
+                                      19, 19],
+                                     RAMP[:15]],
+    "all_zero_after_boundary": [[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9],
+                                [0] * 15,
+                                [9] + [0] * 14],
+    # too short for any peak to be 6 days from both edges, and empty
+    "too_short": [[0, 1, 5, 2, 0, 0, 0, 0, 0, 0, 0, 0], [3] * 12],
+    "empty": [[], []],
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_named_shapes_match_oracle(name):
+    assert_matches_oracle(np.array(CASES[name], dtype=float).reshape(len(CASES[name]), -1))
+
+
+def test_no_rows():
+    assert extract_features_batch([], D0, np.zeros((0, 30))) == []
+    assert extract_features_batch([], D0, np.zeros((0, 0))) == []
+
+
+@SETTINGS
+@given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_smooth_rows_equals_smooth(days, units, seed):
+    rates = np.random.default_rng(seed).random((units, days)) * 100
+    ids = [f"u{i}" for i in range(units)]
+    if days < 13:
+        with pytest.raises(ComputationError, match="u0: series of length .* too short"):
+            smooth_rows(ids, rates)
+        return
+    got = smooth_rows(ids, rates)
+    for unit, row, out in zip(ids, rates, got):
+        want = smooth(RateSeries(unit, D0, tuple(row))).values
+        assert [float(v).hex() for v in out] == [float(v).hex() for v in want]
+
+
+@pytest.mark.parametrize("trim", [0, 3])
+def test_stage_features_matches_per_unit_path(synthetic_dir, tmp_path, monkeypatch,
+                                             trim):
+    """features.csv equals what rates, clipping, smoothing and the oracle
+    give unit by unit, and the rate matrix equals compute_daily_rates bit
+    for bit (cells are written to 6 decimals, so they would not show it)."""
+    cfg = pipeline.load_config(str(synthetic_dir / "config.yaml"))
+    cfg = dataclasses.replace(cfg, output=str(tmp_path), rate_scale=1e5 / 3,
+                              window_start=cfg.window_start + dt.timedelta(days=trim),
+                              window_end=cfg.window_end - dt.timedelta(days=trim))
+    matrices = []
+    monkeypatch.setattr(curve_features, "smooth_rows",
+                        lambda units, rates: matrices.append(rates) or smooth_rows(units, rates))
+    path = pipeline.stage_features(cfg)
+
+    series = parse_case_series(cfg.cases)
+    meta = parse_unit_metadata(cfg.metadata)
+    lines = ["unit_id," + ",".join(FEATURE_COLUMNS)]
+    for i, unit in enumerate(sorted(series)):
+        rates = compute_daily_rates(series[unit], meta[unit], cfg.rate_scale)
+        rates = window_clip(rates, cfg.window_start, cfg.window_end)
+        assert [float(v).hex() for v in matrices[0][i]] == [v.hex() for v in rates.rates]
+        row = oracle_extract_features(smooth(rates)).as_row()
+        lines.append(",".join([unit, row["peakdate"]] + [
+            pipeline._fmt(row[c]) for c in FEATURE_COLUMNS[1:]]))
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "\n".join(lines) + "\n"
+
+
+def test_stage_features_reports_a_reversed_window(synthetic_dir, tmp_path):
+    cfg = pipeline.load_config(str(synthetic_dir / "config.yaml"))
+    cfg = dataclasses.replace(cfg, output=str(tmp_path), window_start=cfg.window_end,
+                              window_end=cfg.window_start)
+    with pytest.raises(DataError, match="^window start 2022-08-19 after end 2022-03-25$"):
+        pipeline.stage_features(cfg)

@@ -1,6 +1,8 @@
 import datetime as dt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicurve.errors import DataError
 from epicurve.ingest import (
@@ -12,6 +14,8 @@ from epicurve.ingest import (
     window_clip,
     write_case_series,
 )
+
+from helpers import oracle_parse_case_series
 
 D0 = dt.date(2022, 3, 25)
 
@@ -72,6 +76,67 @@ def test_case_series_round_trip(tmp_path):
     assert parse_case_series(q) == first
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["TPa,2022-03-25,1", "TPa,2022-03-26"], "row 3: missing count"),
+    (["TPa,2022-03-25,1", "TPa"], "row 3: missing date, count"),
+    (["TPa,2022-03-25,1", "TPa,2022-03-26,x"], "row 3: unparseable count 'x'"),
+    (["TPa,2022-03-25,1", "TPa,2022-03-26,"], "row 3: unparseable count ''"),
+    (["TPa,2022-03-25,1", "TPa,2022-02-30,1"], "row 3: unparseable date '2022-02-30'"),
+    (["TPa,2022-03-25,1", "TPa,2022-03-26,2", "TPa, 2022-03-25 ,3"],
+     r"row 4: duplicate \(TPa, 2022-03-25\)"),
+    (["TPa,2022-03-25,1", " TPa ,2022-03-25,3"], r"row 3: duplicate \(TPa, 2022-03-25\)"),
+    (["TPa,2022-03-25,1", " ,2022-03-26,3"], "row 3: empty unit_id"),
+    (["TPa,2022-03-25,1", " TPa,2022-03-26,-2"], "row 3: negative count for TPa"),
+    (["TPa,2022-03-25,1", "", "TPa,2022-03-26"], "row 3: missing count"),
+    (["TPa,2022-03-25,1", "NTb,2022-03-25,1", "TPa,2022-03-27,1"],
+     "TPa: gap in day axis between 2022-03-25 and 2022-03-27"),
+])
+def test_parse_case_series_errors_name_the_row(tmp_path, rows, message):
+    p = tmp_path / "c.csv"
+    write_cases(p, rows)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        parse_case_series(p)
+
+
+def test_parse_case_series_strips_cells_and_skips_blank_lines(tmp_path):
+    p = tmp_path / "c.csv"
+    write_cases(p, ["TPa,2022-03-26, 5", " TPa , 2022-03-25 ,7 ", "", "TPa,2022-03-27,+0"])
+    out = parse_case_series(p)
+    assert out == {"TPa": RawSeries("TPa", D0, (7, 5, 0))}
+
+
+def test_parse_case_series_column_order_and_extra_columns(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_text("count,note,unit_id,date\n2,,TPa,2022-03-26\n1,x,TPa,2022-03-25\n")
+    assert parse_case_series(p) == {"TPa": RawSeries("TPa", D0, (1, 2))}
+
+
+CELLS = {
+    "unit": st.sampled_from(["TPa", " TPa", "NTb", "NTb ", "", " "]),
+    "date": st.sampled_from(["2022-03-25", "2022-03-26", " 2022-03-27", "2022-03-28",
+                             "20220326", "2022-3-26", "x"]),
+    "count": st.sampled_from(["0", "3", " 5", "-1", "1.5", "", "x"]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fixed_dictionaries(CELLS), max_size=8),
+       st.sampled_from([["unit_id", "date", "count"], ["date", "count", "unit_id", "x"]]))
+def test_parse_case_series_matches_row_loop_oracle(tmp_path_factory, rows, header):
+    p = tmp_path_factory.mktemp("parse") / "c.csv"
+    cell = {"unit_id": "unit", "date": "date", "count": "count", "x": "count"}
+    p.write_text("\n".join([",".join(header)] + [
+        ",".join(r[cell[h]] for h in header) for r in rows]) + "\n")
+
+    def run(parse):
+        try:
+            return parse(p)
+        except DataError as exc:
+            return str(exc)
+
+    assert run(parse_case_series) == run(oracle_parse_case_series)
+
+
 META_HEADER = "unit_id,city_code,district_letter,age_group,population,region,status"
 
 
@@ -95,6 +160,17 @@ def test_parse_metadata_zero_population(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text(META_HEADER + "\nTPa,TP,a,,0,North,Urban\n")
     with pytest.raises(DataError, match="population"):
+        parse_unit_metadata(p)
+
+
+@pytest.mark.parametrize("row, missing", [
+    ("TPa,TP,a,,100", "region, status"),
+    ("TPa", "city_code, district_letter, age_group, population, region, status"),
+])
+def test_parse_metadata_short_row(tmp_path, row, missing):
+    p = tmp_path / "m.csv"
+    p.write_text(META_HEADER + "\nNTb,NT,b,,100,North,Urban\n" + row + "\n")
+    with pytest.raises(DataError, match=f"^row 3: missing {missing}$"):
         parse_unit_metadata(p)
 
 

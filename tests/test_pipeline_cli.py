@@ -1,5 +1,7 @@
 import hashlib
 import os
+import re
+import shutil
 
 import pytest
 import yaml
@@ -287,3 +289,89 @@ class TestReportRoundTrip:
             pipeline.read_scan_csv(str(path), ["a", "b", "a_b"])
         with pytest.raises(DataError, match="unknown"):
             pipeline.read_scan_csv(str(path), ["a", "c"])
+
+
+def _drop_count_cell(text):
+    lines = text.splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+    return "".join(lines)
+
+
+def _unit_id_only(text):
+    lines = text.splitlines(keepends=True)
+    lines[2] = lines[2].split(",", 1)[0] + "\n"
+    return "".join(lines)
+
+
+def _cut_after_population(text):
+    lines = text.splitlines(keepends=True)
+    lines[1] = ",".join(lines[1].split(",")[:5]) + "\n"
+    return "".join(lines)
+
+
+def _bad_peakdate(text):
+    lines = text.splitlines(keepends=True)
+    unit, _date, rest = lines[1].split(",", 2)
+    lines[1] = f"{unit},2022-13-45,{rest}"
+    return "".join(lines)
+
+
+def _truncated_mid_row(text):
+    return text[:text.rstrip("\n").rindex("\n") + 20]
+
+
+def _bad_second_cell(text):
+    lines = text.splitlines(keepends=True)
+    lines[3] = lines[3].replace(",", ",x", 1)
+    return "".join(lines)
+
+
+CORRUPT_INPUTS = [
+    ("features", "cases.csv", _drop_count_cell, "data error: row 3: missing count"),
+    ("features", "cases.csv", _unit_id_only, "data error: row 3: missing date, count"),
+    ("features", "meta.csv", _cut_after_population,
+     "data error: row 2: missing region, status"),
+    ("associate", "out/features.csv", _bad_peakdate,
+     "features.csv: row 2: unparseable peakdate '2022-13-45'"),
+    ("associate", "out/features.csv", _truncated_mid_row,
+     r"features.csv: row 21 has \d+ cells, expected 21"),
+    ("select", "out/categorical.csv", _truncated_mid_row,
+     r"categorical.csv: row 21 has \d+ cells, expected 20"),
+    ("select", "out/categorical.csv", _bad_second_cell,
+     "categorical.csv: row 4: unparseable peakdate 'x"),
+    ("report", "out/scan_region.csv", _truncated_mid_row,
+     r"scan_region.csv: row 11 has \d+ cells, expected 9"),
+    ("report", "out/scan_region.csv", _bad_second_cell,
+     "scan_region.csv: row 4: unparseable ce 'x"),
+]
+
+
+class TestCorruptInputsExit3:
+    @pytest.mark.parametrize("stage, name, corrupt, message", CORRUPT_INPUTS,
+                             ids=[f"{stage}-{c.__name__.strip('_')}"
+                                  for stage, _, c, _ in CORRUPT_INPUTS])
+    def test_one_line_data_error(self, synthetic_dir, tmp_path, stage, name,
+                                 corrupt, message):
+        for raw in ("cases.csv", "meta.csv"):
+            shutil.copy(synthetic_dir / raw, tmp_path / raw)
+        config = tmp_path / "config.yaml"
+        with open(config, "w") as fh:
+            yaml.safe_dump(base_config(tmp_path), fh)
+        runner = CliRunner()
+        if name.startswith("out/"):
+            assert runner.invoke(main, ["all", "--config", str(config)]).exit_code == 0
+        path = tmp_path / name
+        path.write_text(corrupt(path.read_text()))
+        res = runner.invoke(main, [stage, "--config", str(config)])
+        assert res.exit_code == 3, res.output
+        assert res.output.startswith("data error: ") and res.output.count("\n") == 1
+        assert re.search(message, res.output)
+
+
+@pytest.mark.parametrize("option", ["--top", "--bottom"])
+def test_report_rejects_negative_counts(synthetic_dir, tmp_path, option):
+    res = CliRunner().invoke(main, ["report", "--config", str(synthetic_dir / "config.yaml"),
+                                    "--out", str(tmp_path / "o"), option, "-3"])
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.output
+    assert not os.path.exists(tmp_path / "o")
