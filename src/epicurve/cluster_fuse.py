@@ -15,6 +15,8 @@ tree-distance similarity.
 
 from __future__ import annotations
 
+import csv
+import io
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -190,52 +192,38 @@ def hcluster_ward(
     if n < 2:
         raise ComputationError(f"need at least 2 complete rows, got {n}")
 
-    # squared Euclidean distances between active clusters, keyed by node id
+    # squared Euclidean distances between the clusters held in each slot; a
+    # cluster sits in the slot of its smallest leaf, and the diagonal and
+    # slots merged away hold inf
     diff = x[:, None, :] - x[None, :, :]
-    d2_init = (diff ** 2).sum(axis=2)
-    d2: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2[(i, j)] = float(d2_init[i, j])
-
-    size = {i: 1 for i in range(n)}
-    min_leaf = {i: i for i in range(n)}
-    active = set(range(n))
+    d2 = (diff ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    size = np.ones(n)
+    node = np.arange(n)
     merges = []
     prev_height = 0.0
     for step in range(n - 1):
-        node = n + step
-        best_key = None
-        best = None
-        for (i, j), v in d2.items():
-            a, b = sorted((min_leaf[i], min_leaf[j]))
-            key = (v, a, b)
-            if best_key is None or key < best_key:
-                best_key, best = key, (i, j)
-        i, j = best
-        height = float(np.sqrt(d2[(i, j)]))
+        # d2 is symmetric, so its first minimum in row-major order is the
+        # tied pair with the smallest (min leaf, max leaf), and i < j
+        i, j = divmod(int(np.argmin(d2)), n)
+        if i == j:  # the closest live clusters are inf apart: take the lowest two
+            i, j = np.flatnonzero(size)[:2]
+        height = float(np.sqrt(d2[i, j]))
         if height < prev_height - 1e-9:
             warnings.warn(
                 f"Ward.D2 height inversion at merge {step}: "
                 f"{height:.6g} < {prev_height:.6g}"
             )
         prev_height = max(prev_height, height)
+        merges.append((n + step, int(node[i]), int(node[j]), height))
 
-        left, right = (i, j) if min_leaf[i] <= min_leaf[j] else (j, i)
-        merges.append((node, left, right, height))
-
-        dij = d2.pop((i, j))
-        ni, nj = size[i], size[j]
-        for kx in list(active - {i, j}):
-            nk = size[kx]
-            dik = d2.pop(tuple(sorted((i, kx))))
-            djk = d2.pop(tuple(sorted((j, kx))))
-            dnew = ((ni + nk) * dik + (nj + nk) * djk - nk * dij) / (ni + nj + nk)
-            d2[tuple(sorted((kx, node)))] = dnew
-        active -= {i, j}
-        active.add(node)
-        size[node] = ni + nj
-        min_leaf[node] = min(min_leaf[i], min_leaf[j])
+        # Lance-Williams in the scalar operation order; empty slots stay inf
+        dij, ni, nj, nk = d2[i, j], size[i], size[j], size
+        dnew = ((ni + nk) * d2[i] + (nj + nk) * d2[j] - nk * dij) / (ni + nj + nk)
+        d2[i] = d2[:, i] = np.where(size > 0, dnew, np.inf)
+        d2[j] = d2[:, j] = d2[i, i] = np.inf
+        size[i], size[j] = ni + nj, 0
+        node[i] = n + step
 
     return HCTree(leaf_labels=tuple(kept), merges=tuple(merges)), excluded
 
@@ -281,13 +269,13 @@ def leaf_codes(tree: HCTree) -> LeafCodes:
 
 def similarity_csv(codes: LeafCodes) -> str:
     """Similarity matrix as CSV, rows/columns in tree leaf order."""
-    order = codes.leaf_order
-    names = [codes.leaf_labels[i] for i in order]
-    lines = ["unit," + ",".join(names)]
-    for i in order:
-        row = [str(int(codes.similarity[i, j])) for j in order]
-        lines.append(codes.leaf_labels[i] + "," + ",".join(row))
-    return "\n".join(lines) + "\n"
+    order = list(codes.leaf_order)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["unit"] + [codes.leaf_labels[i] for i in order])
+    writer.writerows([codes.leaf_labels[i]] + codes.similarity[i, order].tolist()
+                     for i in order)
+    return buf.getvalue()
 
 
 def similarity_svg(codes: LeafCodes, cell: int = 12, label_space: int = 70) -> str:
@@ -312,14 +300,16 @@ def similarity_svg(codes: LeafCodes, cell: int = 12, label_space: int = 70) -> s
                 f'fill="rgb({shade},{shade},{shade})"/>'
             )
     for r, i in enumerate(order):
+        # escaped by hand: xml.sax.saxutils imports urllib.request, which
+        # would lengthen every CLI start
+        label = codes.leaf_labels[i].replace("&", "&amp;").replace("<", "&lt;")
+        label = label.replace(">", "&gt;")
         y = label_space + r * cell + cell - 2
-        parts.append(
-            f'<text x="2" y="{y}">{codes.leaf_labels[i]}</text>'
-        )
+        parts.append(f'<text x="2" y="{y}">{label}</text>')
         x = label_space + r * cell + 2
         parts.append(
             f'<text x="{x}" y="{label_space - 4}" '
-            f'transform="rotate(-90 {x} {label_space - 4})">{codes.leaf_labels[i]}</text>'
+            f'transform="rotate(-90 {x} {label_space - 4})">{label}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -11,7 +11,6 @@ data to be dropped.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -106,7 +105,8 @@ class Graph:
 def discretize(
     values: Iterable[Optional[float]], n_bins: int = 4
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Quartile-bin a real column into categories 1..n_bins; NA -> 0.
+    """Quartile-bin a real column into categories 1..n_bins; NA (None or
+    NaN) -> 0.
 
     Bin edges sit at the interior percentiles (linear interpolation);
     bins are left-closed with the last bin right-closed. Columns with
@@ -114,34 +114,27 @@ def discretize(
     with a warning. Returns (categories, edges); edges is None for the
     fallback path.
     """
-    vals = [None if v is None or (isinstance(v, float) and math.isnan(v)) else float(v)
-            for v in values]
-    if not vals:
+    v = np.asarray(list(values), dtype=float)
+    if v.size == 0:
         raise ComputationError("empty column")
-    present = np.array([v for v in vals if v is not None], dtype=float)
+    na = np.isnan(v)
+    present = v[~na]
     if present.size == 0:
         raise ComputationError("column is all NA")
 
     distinct = np.unique(present)
-    cats = np.zeros(len(vals), dtype=int)
-
     if distinct.size < n_bins:
         warnings.warn(
             f"degenerate column: {distinct.size} distinct values for "
             f"{n_bins} bins; using distinct-value bins",
             DegenerateColumnWarning,
         )
-        lookup = {v: i + 1 for i, v in enumerate(distinct)}
-        for i, v in enumerate(vals):
-            if v is not None:
-                cats[i] = lookup[v]
-        return cats, None
-
-    qs = [100.0 * k / n_bins for k in range(1, n_bins)]
-    edges = np.percentile(present, qs)
-    for i, v in enumerate(vals):
-        if v is not None:
-            cats[i] = 1 + int(np.sum(v >= edges))
+        cats, edges = 1 + np.searchsorted(distinct, v), None
+    else:
+        qs = [100.0 * k / n_bins for k in range(1, n_bins)]
+        edges = np.percentile(present, qs)
+        cats = 1 + (v[:, None] >= edges).sum(axis=1)
+    cats[na] = 0
     return cats, edges
 
 

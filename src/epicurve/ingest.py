@@ -11,6 +11,7 @@ because silent zero-fill would distort crossing times downstream.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 from dataclasses import dataclass
@@ -80,6 +81,17 @@ class RateSeries:
         return self.start_date + dt.timedelta(days=len(self.rates) - 1)
 
 
+@contextlib.contextmanager
+def _open_input(path):
+    """Open a UTF-8 CSV input; a file that cannot be opened or decoded is a
+    DataError, as a malformed one is."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def _parse_date(text: str, row_no: int) -> dt.date:
     try:
         return dt.date.fromisoformat(text)
@@ -104,7 +116,7 @@ def parse_case_series(path) -> dict[str, RawSeries]:
     # date text is stripped and parsed once.
     units: dict[str, dict[int, int]] = {}
     ordinals: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         # a repeated column name resolves to its last copy, as in csv.DictReader
         index = {name: i for i, name in enumerate(next(reader, None) or ())}
@@ -169,7 +181,7 @@ def write_case_series(path, series: dict[str, RawSeries]) -> None:
 def parse_unit_metadata(path) -> dict[str, UnitMeta]:
     """Read the metadata CSV into a registry keyed by unit_id."""
     out: dict[str, UnitMeta] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(META_COLUMNS).issubset(reader.fieldnames):
             raise DataError(f"{path}: unexpected metadata header")

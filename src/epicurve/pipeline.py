@@ -15,6 +15,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import io
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .curve_features import FEATURE_COLUMNS, SHAPE_FEATURES
 from .errors import ConfigError, DataError
 from .ingest import (
     DEFAULT_RATE_SCALE,
+    _open_input,
     parse_case_series,
     parse_unit_metadata,
     window_slice,
@@ -135,6 +137,39 @@ def _check_names(kind: str, names: list[str], taken: frozenset = frozenset()) ->
             raise ConfigError(f"{kind} name {name!r} collides with a data column")
 
 
+_REQUIRED = object()
+
+
+def _field(section: str, mapping: dict, key: str, convert, default=_REQUIRED):
+    """``convert(mapping[key])``, or ``default`` when the key is absent; a
+    missing required key or a value ``convert`` rejects is a ConfigError
+    naming the section and the key."""
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise ConfigError(f"{section}: missing {key!r}")
+        return default
+    try:
+        return convert(mapping[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: bad {key} {mapping[key]!r}") from exc
+
+
+def _list_of(convert):
+    def convert_list(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError("not a list")
+        return tuple(convert(v) for v in value)
+    return convert_list
+
+
+def _entries(data: dict, key: str):
+    """(section name, mapping) of each entry listed under ``key``."""
+    entries = data.get(key) or []
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"{key} must be a list of mappings")
+    return [(f"{key}[{i}]", e) for i, e in enumerate(entries)]
+
+
 def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     """Build and validate a PipelineConfig from a plain mapping.
 
@@ -152,28 +187,34 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
     window = data.get("window", {}) or {}
+    if not isinstance(window, dict):
+        raise ConfigError("window must be a mapping with start and end")
     start = _as_date(window.get("start", DEFAULT_WINDOW[0]), "window start")
     end = _as_date(window.get("end", DEFAULT_WINDOW[1]), "window end")
     if start >= end:
         raise ConfigError(f"window start {start} must precede end {end}")
 
-    thresholds = tuple(float(t) for t in data.get("thresholds", [0.6, 0.7]))
+    rate_scale = _field("config", data, "rate_scale", float, DEFAULT_RATE_SCALE)
+    if not (rate_scale > 0 and math.isfinite(rate_scale)):
+        raise ConfigError(f"rate_scale must be finite and > 0, got {rate_scale}")
+
+    thresholds = _field("config", data, "thresholds", _list_of(float), (0.6, 0.7))
     for t in thresholds:
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"threshold {t} outside [0, 1]")
 
-    n_bins = int(data.get("n_bins", 4))
+    n_bins = _field("config", data, "n_bins", int, 4)
     if n_bins < 2:
         raise ConfigError("n_bins must be >= 2")
 
     fusions = []
-    for f in data.get("fusions", []) or []:
+    for section, f in _entries(data, "fusions"):
         spec = FusionSpec(
-            name=str(f["name"]),
-            columns=tuple(str(c) for c in f["columns"]),
-            k=int(f.get("k", 4)),
-            seed=int(f.get("seed", 0)),
-            restarts=int(f.get("restarts", 100)),
+            name=_field(section, f, "name", str),
+            columns=_field(section, f, "columns", _list_of(str)),
+            k=_field(section, f, "k", int, 4),
+            seed=_field(section, f, "seed", int, 0),
+            restarts=_field(section, f, "restarts", int, 100),
         )
         if spec.k < 1 or spec.restarts < 1:
             raise ConfigError(f"fusion {spec.name}: k and restarts must be >= 1")
@@ -187,15 +228,15 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
 
     categorical_names = set(("peakdate",) + SHAPE_FEATURES) | fusion_names
     responses = []
-    for r in data.get("responses", []) or []:
+    for section, r in _entries(data, "responses"):
         spec = ResponseSpec(
-            response=str(r["response"]),
-            candidates=tuple(str(c) for c in r["candidates"]),
-            order=int(r.get("order", 2)),
-            replicates=int(r.get("replicates", 200)),
-            seed=int(r.get("seed", 0)),
-            top=int(r.get("top", 5)),
-            bottom=int(r.get("bottom", 1)),
+            response=_field(section, r, "response", str),
+            candidates=_field(section, r, "candidates", _list_of(str)),
+            order=_field(section, r, "order", int, 2),
+            replicates=_field(section, r, "replicates", int, 200),
+            seed=_field(section, r, "seed", int, 0),
+            top=_field(section, r, "top", int, 5),
+            bottom=_field(section, r, "bottom", int, 1),
         )
         if spec.order not in (1, 2, 3):
             raise ConfigError(
@@ -215,9 +256,10 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     _check_names("response", [r.response for r in responses])
 
     clusterings = []
-    for c in data.get("clusterings", []) or []:
+    for section, c in _entries(data, "clusterings"):
         spec = ClusteringSpec(
-            name=str(c["name"]), columns=tuple(str(x) for x in c["columns"])
+            name=_field(section, c, "name", str),
+            columns=_field(section, c, "columns", _list_of(str)),
         )
         for col in spec.columns:
             if col not in NUMERIC_FEATURES:
@@ -231,7 +273,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
         output=resolve(data["output"]),
         window_start=start,
         window_end=end,
-        rate_scale=float(data.get("rate_scale", DEFAULT_RATE_SCALE)),
+        rate_scale=rate_scale,
         n_bins=n_bins,
         thresholds=thresholds,
         fusions=tuple(fusions),
@@ -245,7 +287,7 @@ def load_config(path: str) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
@@ -322,7 +364,7 @@ def stage_features(cfg: PipelineConfig) -> str:
 def _read_artifact(path: str, required):
     """(header, rows) of a CSV artifact whose header holds ``required`` and
     whose rows all have the header's width; blank lines are skipped."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None) or []
         rows = [row for row in reader if row]
@@ -337,7 +379,9 @@ def _read_artifact(path: str, required):
 
 
 def read_features_csv(path: str):
-    """Read features.csv into (unit_ids, {column: list of float or None})."""
+    """Read features.csv into (unit_ids, {column: float64 array}); an empty
+    cell (NA) is NaN, any other cell must be a finite number, and peakdate
+    is its day ordinal."""
     header, rows = _read_artifact(path, ["unit_id"] + list(FEATURE_COLUMNS))
     index = {c: i for i, c in enumerate(header)}
     i_unit, i_date = index["unit_id"], index["peakdate"]
@@ -348,12 +392,15 @@ def read_features_csv(path: str):
         units.append(row[i_unit])
         c, i = "peakdate", i_date
         try:
-            columns[c].append(dt.date.fromisoformat(row[i]))
+            columns[c].append(dt.date.fromisoformat(row[i]).toordinal())
             for c, i in numeric:
-                columns[c].append(float(row[i]) if row[i] else None)
+                value = float(row[i]) if row[i] else np.nan
+                if row[i] and not math.isfinite(value):  # NaN is kept for NA
+                    raise ValueError(row[i])
+                columns[c].append(value)
         except ValueError as exc:
             raise DataError(f"{path}: row {row_no}: unparseable {c} {row[i]!r}") from exc
-    return units, columns
+    return units, {c: np.array(v, dtype=float) for c, v in columns.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +409,12 @@ def read_features_csv(path: str):
 def build_categorical(cfg: PipelineConfig, units, columns) -> infotheory.CategoricalMatrix:
     """Discretize peakdate plus the 18 shape features into categories."""
     names = ("peakdate",) + SHAPE_FEATURES
-    cats = []
-    edges: dict[str, Optional[np.ndarray]] = {}
-    for name in names:
-        if name == "peakdate":
-            vals = [float(d.toordinal()) for d in columns[name]]
-        else:
-            vals = columns[name]
-        col, e = infotheory.discretize(vals, cfg.n_bins)
-        cats.append(col)
-        edges[name] = e
+    binned = [infotheory.discretize(columns[name], cfg.n_bins) for name in names]
     return infotheory.CategoricalMatrix(
         unit_ids=tuple(units),
         feature_names=names,
-        cells=np.column_stack(cats),
-        bin_edges=edges,
+        cells=np.column_stack([cats for cats, _ in binned]),
+        bin_edges={name: edges for name, (_, edges) in zip(names, binned)},
     )
 
 
@@ -439,9 +477,7 @@ def stage_fuse(cfg: PipelineConfig) -> list[str]:
     written = []
     fused_cols: dict[str, np.ndarray] = {}
     for spec in cfg.fusions:
-        matrix = np.column_stack([
-            [np.nan if v is None else v for v in columns[c]] for c in spec.columns
-        ])
+        matrix = np.column_stack([columns[c] for c in spec.columns])
         fused = cluster_fuse.kmeans_fuse(
             matrix, spec.columns, spec.name,
             k=spec.k, seed=spec.seed, restarts=spec.restarts,
@@ -576,9 +612,7 @@ def stage_cluster(cfg: PipelineConfig) -> list[str]:
     units, columns = read_features_csv(features_path)
     written = []
     for spec in cfg.clusterings:
-        matrix = np.column_stack([
-            [np.nan if v is None else v for v in columns[c]] for c in spec.columns
-        ])
+        matrix = np.column_stack([columns[c] for c in spec.columns])
         tree, excluded = cluster_fuse.hcluster_ward(matrix, units)
         codes = cluster_fuse.leaf_codes(tree)
 

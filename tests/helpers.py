@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from epicurve.curve_features import (
     right_crossing,
 )
 from epicurve.errors import ComputationError, DataError
-from epicurve.infotheory import ContingencyTable, entropy
+from epicurve.infotheory import ContingencyTable, DegenerateColumnWarning, entropy
 from epicurve.ingest import RateSeries, RawSeries
 
 START = dt.date(2022, 3, 25)
@@ -308,3 +309,103 @@ def oracle_parse_case_series(path) -> dict[str, RawSeries]:
         counts = tuple(days[start + dt.timedelta(days=i)] for i in range(len(ordered)))
         out[unit] = RawSeries(unit_id=unit, start_date=start, counts=counts)
     return out
+
+
+def oracle_discretize(values, n_bins: int = 4):
+    """Quantile binning one element at a time: None and NaN are NA (0),
+    present values are looked up in a dict of distinct values or compared
+    with the edges one by one."""
+    vals = [None if v is None or (isinstance(v, float) and math.isnan(v)) else float(v)
+            for v in values]
+    if not vals:
+        raise ComputationError("empty column")
+    present = np.array([v for v in vals if v is not None], dtype=float)
+    if present.size == 0:
+        raise ComputationError("column is all NA")
+
+    distinct = np.unique(present)
+    cats = np.zeros(len(vals), dtype=int)
+
+    if distinct.size < n_bins:
+        warnings.warn(
+            f"degenerate column: {distinct.size} distinct values for "
+            f"{n_bins} bins; using distinct-value bins",
+            DegenerateColumnWarning,
+        )
+        lookup = {v: i + 1 for i, v in enumerate(distinct)}
+        for i, v in enumerate(vals):
+            if v is not None:
+                cats[i] = lookup[v]
+        return cats, None
+
+    qs = [100.0 * k / n_bins for k in range(1, n_bins)]
+    edges = np.percentile(present, qs)
+    for i, v in enumerate(vals):
+        if v is not None:
+            cats[i] = 1 + int(np.sum(v >= edges))
+    return cats, edges
+
+
+def oracle_hcluster_ward(matrix, leaf_labels):
+    """Greedy Ward.D2 over a dict of squared distances keyed by node-id
+    pairs: every merge scans the whole dict for the smallest key
+    (d2, min leaf, max leaf) and rewrites the merged pair's entries."""
+    from epicurve.cluster_fuse import HCTree
+
+    matrix = np.asarray(matrix, dtype=float)
+    labels = list(leaf_labels)
+    complete = ~np.isnan(matrix).any(axis=1)
+    excluded = [labels[i] for i in range(len(labels)) if not complete[i]]
+    x = matrix[complete]
+    kept = [labels[i] for i in range(len(labels)) if complete[i]]
+    n = x.shape[0]
+    if n < 2:
+        raise ComputationError(f"need at least 2 complete rows, got {n}")
+
+    diff = x[:, None, :] - x[None, :, :]
+    d2_init = (diff ** 2).sum(axis=2)
+    d2: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d2[(i, j)] = float(d2_init[i, j])
+
+    size = {i: 1 for i in range(n)}
+    min_leaf = {i: i for i in range(n)}
+    active = set(range(n))
+    merges = []
+    prev_height = 0.0
+    for step in range(n - 1):
+        node = n + step
+        best_key = None
+        best = None
+        for (i, j), v in d2.items():
+            a, b = sorted((min_leaf[i], min_leaf[j]))
+            key = (v, a, b)
+            if best_key is None or key < best_key:
+                best_key, best = key, (i, j)
+        i, j = best
+        height = float(np.sqrt(d2[(i, j)]))
+        if height < prev_height - 1e-9:
+            warnings.warn(
+                f"Ward.D2 height inversion at merge {step}: "
+                f"{height:.6g} < {prev_height:.6g}"
+            )
+        prev_height = max(prev_height, height)
+
+        left, right = (i, j) if min_leaf[i] <= min_leaf[j] else (j, i)
+        merges.append((node, left, right, height))
+
+        dij = d2.pop((i, j))
+        ni, nj = size[i], size[j]
+        for kx in list(active - {i, j}):
+            nk = size[kx]
+            dik = d2.pop(tuple(sorted((i, kx))))
+            djk = d2.pop(tuple(sorted((j, kx))))
+            dnew = ((ni + nk) * dik + (nj + nk) * djk - nk * dij) / (ni + nj + nk)
+            d2[tuple(sorted((kx, node)))] = dnew
+        active -= {i, j}
+        active.add(node)
+        size[node] = ni + nj
+        min_leaf[node] = min(min_leaf[i], min_leaf[j])
+
+    return HCTree(leaf_labels=tuple(kept), merges=tuple(merges)), excluded

@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import os
 import re
 import shutil
+from xml.etree import ElementTree
 
 import pytest
 import yaml
@@ -222,6 +224,54 @@ def _unsafe_clustering_name(d):
     d["clusterings"][0]["name"] = "../left"
 
 
+def _fusion_without_name(d):
+    del d["fusions"][0]["name"]
+
+
+def _response_without_candidates(d):
+    del d["responses"][0]["candidates"]
+
+
+def _clustering_without_columns(d):
+    del d["clusterings"][0]["columns"]
+
+
+def _n_bins_word(d):
+    d["n_bins"] = "four"
+
+
+def _threshold_word(d):
+    d["thresholds"] = ["a"]
+
+
+def _threshold_scalar(d):
+    d["thresholds"] = 0.6
+
+
+def _rate_scale_word(d):
+    d["rate_scale"] = "x"
+
+
+def _rate_scale_zero(d):
+    d["rate_scale"] = 0
+
+
+def _rate_scale_negative(d):
+    d["rate_scale"] = -100000
+
+
+def _rate_scale_nan(d):
+    d["rate_scale"] = float("nan")
+
+
+def _fusions_mapping(d):
+    d["fusions"] = {"left30to70": d["fusions"][0]}
+
+
+def _window_list(d):
+    d["window"] = [1, 2]
+
+
 INVALID_CONFIGS = [
     (_restarts_zero, "restarts must be >= 1"),
     (_replicates_zero, "replicates must be >= 1"),
@@ -233,6 +283,18 @@ INVALID_CONFIGS = [
     (_fusion_named_like_feature, "collides with a data column"),
     (_unsafe_fusion_name, "not safe in a file name"),
     (_unsafe_clustering_name, "not safe in a file name"),
+    (_fusion_without_name, "fusions[0]: missing 'name'"),
+    (_response_without_candidates, "responses[0]: missing 'candidates'"),
+    (_clustering_without_columns, "clusterings[0]: missing 'columns'"),
+    (_n_bins_word, "config: bad n_bins 'four'"),
+    (_threshold_word, "config: bad thresholds ['a']"),
+    (_threshold_scalar, "config: bad thresholds 0.6"),
+    (_rate_scale_word, "config: bad rate_scale 'x'"),
+    (_rate_scale_zero, "rate_scale must be finite and > 0, got 0.0"),
+    (_rate_scale_negative, "rate_scale must be finite and > 0, got -100000.0"),
+    (_rate_scale_nan, "rate_scale must be finite and > 0, got nan"),
+    (_fusions_mapping, "fusions must be a list of mappings"),
+    (_window_list, "window must be a mapping"),
 ]
 
 
@@ -251,7 +313,17 @@ class TestConfigValidationExit2:
                                         "--out", str(tmp_path / "o")])
         assert res.exit_code == 2, res.output
         assert res.output.startswith("config error:") and message in res.output
+        assert res.output.count("\n") == 1
         assert not os.path.exists(tmp_path / "o")
+
+
+def test_config_not_utf8_exits_2(tmp_path):
+    config = tmp_path / "bad.yaml"
+    config.write_bytes(b"cases: a\xff\n")
+    res = CliRunner().invoke(main, ["all", "--config", str(config)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith(f"config error: cannot read config {config}: ")
+    assert res.output.count("\n") == 1
 
 
 class TestReportRoundTrip:
@@ -316,6 +388,17 @@ def _bad_peakdate(text):
     return "".join(lines)
 
 
+def _infinite_peakvalue(text):
+    lines = text.splitlines(keepends=True)
+    unit, date, _value, rest = lines[1].split(",", 3)
+    lines[1] = f"{unit},{date},inf,{rest}"
+    return "".join(lines)
+
+
+def _nan_peakvalue(text):
+    return _infinite_peakvalue(text).replace(",inf,", ",nan,", 1)
+
+
 def _truncated_mid_row(text):
     return text[:text.rstrip("\n").rindex("\n") + 20]
 
@@ -333,6 +416,10 @@ CORRUPT_INPUTS = [
      "data error: row 2: missing region, status"),
     ("associate", "out/features.csv", _bad_peakdate,
      "features.csv: row 2: unparseable peakdate '2022-13-45'"),
+    ("fuse", "out/features.csv", _infinite_peakvalue,
+     "features.csv: row 2: unparseable peakvalue 'inf'"),
+    ("associate", "out/features.csv", _nan_peakvalue,
+     "features.csv: row 2: unparseable peakvalue 'nan'"),
     ("associate", "out/features.csv", _truncated_mid_row,
      r"features.csv: row 21 has \d+ cells, expected 21"),
     ("select", "out/categorical.csv", _truncated_mid_row,
@@ -346,26 +433,97 @@ CORRUPT_INPUTS = [
 ]
 
 
+def _copy_run(synthetic_dir, tmp_path, name):
+    """Copy the raw inputs and config into tmp_path, and run `all` there
+    first when ``name`` is an artifact under out/."""
+    for raw in ("cases.csv", "meta.csv"):
+        shutil.copy(synthetic_dir / raw, tmp_path / raw)
+    config = tmp_path / "config.yaml"
+    with open(config, "w") as fh:
+        yaml.safe_dump(base_config(tmp_path), fh)
+    if name.startswith("out/"):
+        assert CliRunner().invoke(main, ["all", "--config", str(config)]).exit_code == 0
+    return config
+
+
+def _assert_one_line_data_error(res, message):
+    assert res.exit_code == 3, res.output
+    assert res.output.startswith("data error: ") and res.output.count("\n") == 1
+    assert re.search(message, res.output)
+
+
 class TestCorruptInputsExit3:
     @pytest.mark.parametrize("stage, name, corrupt, message", CORRUPT_INPUTS,
                              ids=[f"{stage}-{c.__name__.strip('_')}"
                                   for stage, _, c, _ in CORRUPT_INPUTS])
     def test_one_line_data_error(self, synthetic_dir, tmp_path, stage, name,
                                  corrupt, message):
-        for raw in ("cases.csv", "meta.csv"):
-            shutil.copy(synthetic_dir / raw, tmp_path / raw)
-        config = tmp_path / "config.yaml"
-        with open(config, "w") as fh:
-            yaml.safe_dump(base_config(tmp_path), fh)
-        runner = CliRunner()
-        if name.startswith("out/"):
-            assert runner.invoke(main, ["all", "--config", str(config)]).exit_code == 0
+        config = _copy_run(synthetic_dir, tmp_path, name)
         path = tmp_path / name
         path.write_text(corrupt(path.read_text()))
-        res = runner.invoke(main, [stage, "--config", str(config)])
-        assert res.exit_code == 3, res.output
-        assert res.output.startswith("data error: ") and res.output.count("\n") == 1
-        assert re.search(message, res.output)
+        res = CliRunner().invoke(main, [stage, "--config", str(config)])
+        _assert_one_line_data_error(res, message)
+
+
+def _missing(path):
+    path.unlink()
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _byte_ff(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:40] + b"\xff" + data[40:])
+
+
+UNREADABLE_INPUTS = [
+    ("all", "cases.csv", _missing, "No such file or directory"),
+    ("all", "cases.csv", _directory, "Is a directory"),
+    ("all", "cases.csv", _byte_ff, "can't decode byte 0xff"),
+    ("all", "meta.csv", _missing, "No such file or directory"),
+    ("all", "meta.csv", _directory, "Is a directory"),
+    ("associate", "out/features.csv", _directory, "Is a directory"),
+    ("associate", "out/features.csv", _byte_ff, "can't decode byte 0xff"),
+]
+
+
+@pytest.mark.parametrize("stage, name, damage, reason", UNREADABLE_INPUTS,
+                         ids=[f"{stage}-{name.rsplit('/', 1)[-1]}-{d.__name__.strip('_')}"
+                              for stage, name, d, _ in UNREADABLE_INPUTS])
+def test_unreadable_input_is_a_data_error(synthetic_dir, tmp_path, stage, name,
+                                          damage, reason):
+    config = _copy_run(synthetic_dir, tmp_path, name)
+    damage(tmp_path / name)
+    res = CliRunner().invoke(main, [stage, "--config", str(config)])
+    _assert_one_line_data_error(res, f"cannot read {re.escape(str(tmp_path / name))}: "
+                                     f".*{reason}")
+
+
+def test_unit_labels_escaped_in_similarity_artifacts(synthetic_dir, tmp_path):
+    with open(synthetic_dir / "meta.csv", newline="") as fh:
+        first, second = [row[0] for row in csv.reader(fh)][1:3]
+    renamed = {first: "Da'an, Taipei", second: "A&B <x>"}
+    for raw in ("cases.csv", "meta.csv"):
+        with open(synthetic_dir / raw, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(tmp_path / raw, "w", newline="") as fh:
+            csv.writer(fh).writerows([renamed.get(r[0], r[0])] + r[1:] for r in rows)
+    config = tmp_path / "config.yaml"
+    with open(config, "w") as fh:
+        yaml.safe_dump(base_config(tmp_path), fh)
+    res = CliRunner().invoke(main, ["all", "--config", str(config)])
+    assert res.exit_code == 0, res.output
+
+    with open(tmp_path / "out" / "similarity_left.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert {len(row) for row in table} == {len(table)}
+    assert set(renamed.values()) <= set(table[0]) & {row[0] for row in table}
+    svg = ElementTree.parse(tmp_path / "out" / "heatmap_left.svg").getroot()
+    texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert sorted(texts) == sorted(table[0][1:] * 2)
 
 
 @pytest.mark.parametrize("option", ["--top", "--bottom"])
