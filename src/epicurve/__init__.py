@@ -3,7 +3,7 @@ infection-rate curves.
 
 Submodules:
 
-* ``ingest`` -- raw CSV parsing and rate computation
+* ``ingest`` -- raw CSV parsing and validation
 * ``curve_features`` -- smoothing, peak/crossing detection, shape features
 * ``infotheory`` -- discretization, contingency tables, entropy, networks
 * ``major_factor`` -- conditional-entropy scans and interaction detection

@@ -87,10 +87,14 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int = 300):
+#: Lloyd iterations per K-means restart.
+_MAX_ITER = 300
+
+
+def _lloyd(x: np.ndarray, centroids: np.ndarray):
     k = centroids.shape[0]
     labels = np.full(x.shape[0], -1)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         if np.array_equal(new_labels, labels):
@@ -278,13 +282,17 @@ def similarity_csv(codes: LeafCodes) -> str:
     return buf.getvalue()
 
 
-def similarity_svg(codes: LeafCodes, cell: int = 12, label_space: int = 70) -> str:
+#: Heatmap cell side and the margin left for unit labels, in SVG pixels.
+_CELL, _LABEL_SPACE = 12, 70
+
+
+def similarity_svg(codes: LeafCodes) -> str:
     """Deterministic grayscale heatmap SVG in tree leaf order."""
     order = codes.leaf_order
     n = len(order)
     max_sim = max(1, int(codes.similarity.max()))
-    width = label_space + n * cell + 10
-    height = label_space + n * cell + 10
+    width = _LABEL_SPACE + n * _CELL + 10
+    height = _LABEL_SPACE + n * _CELL + 10
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         '<style>text { font-family: monospace; font-size: 8px; }</style>',
@@ -293,10 +301,10 @@ def similarity_svg(codes: LeafCodes, cell: int = 12, label_space: int = 70) -> s
         for c, j in enumerate(order):
             s = int(codes.similarity[i, j]) / max_sim
             shade = int(round(255 * (1.0 - s)))
-            x = label_space + c * cell
-            y = label_space + r * cell
+            x = _LABEL_SPACE + c * _CELL
+            y = _LABEL_SPACE + r * _CELL
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
                 f'fill="rgb({shade},{shade},{shade})"/>'
             )
     for r, i in enumerate(order):
@@ -304,12 +312,12 @@ def similarity_svg(codes: LeafCodes, cell: int = 12, label_space: int = 70) -> s
         # would lengthen every CLI start
         label = codes.leaf_labels[i].replace("&", "&amp;").replace("<", "&lt;")
         label = label.replace(">", "&gt;")
-        y = label_space + r * cell + cell - 2
+        y = _LABEL_SPACE + r * _CELL + _CELL - 2
         parts.append(f'<text x="2" y="{y}">{label}</text>')
-        x = label_space + r * cell + 2
+        x = _LABEL_SPACE + r * _CELL + 2
         parts.append(
-            f'<text x="{x}" y="{label_space - 4}" '
-            f'transform="rotate(-90 {x} {label_space - 4})">{label}</text>'
+            f'<text x="{x}" y="{_LABEL_SPACE - 4}" '
+            f'transform="rotate(-90 {x} {_LABEL_SPACE - 4})">{label}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -35,13 +35,6 @@ class CategoricalMatrix:
     feature_names: tuple[str, ...]
     cells: np.ndarray  # shape (n_units, n_features), dtype int
     bin_edges: dict[str, Optional[np.ndarray]] = field(default_factory=dict)
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            j = self.feature_names.index(name)
-        except ValueError as exc:
-            raise ComputationError(f"unknown feature column {name!r}") from exc
-        return self.cells[:, j]
 
 
 @dataclass(frozen=True)
@@ -136,24 +129,6 @@ def discretize(
         cats = 1 + (v[:, None] >= edges).sum(axis=1)
     cats[na] = 0
     return cats, edges
-
-
-def contingency(x: Sequence[int], y: Sequence[int]) -> ContingencyTable:
-    """Cross-tabulate two categorical columns; labels are the sorted
-    distinct observed categories (0 included when present)."""
-    x = np.asarray(x, dtype=int)
-    y = np.asarray(y, dtype=int)
-    if x.shape != y.shape:
-        raise ComputationError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size == 0:
-        raise ComputationError("empty columns")
-    row_labels, xi = np.unique(x, return_inverse=True)
-    col_labels, yi = np.unique(y, return_inverse=True)
-    shape = (row_labels.size, col_labels.size)
-    counts = np.bincount(xi.reshape(-1) * shape[1] + yi.reshape(-1),
-                         minlength=shape[0] * shape[1]).reshape(shape)
-    return ContingencyTable(tuple(row_labels.tolist()), tuple(col_labels.tolist()),
-                            counts)
 
 
 def entropy(counts: Iterable[float]) -> float:
@@ -275,11 +250,6 @@ def rescaled_ce(t: ContingencyTable, direction: str = COLS_GIVEN_ROWS) -> float:
     if h_target == 0.0:
         raise ComputationError("degenerate target margin (zero entropy)")
     return conditional_entropy(t, direction) / h_target
-
-
-def mutual_ce(t: ContingencyTable) -> float:
-    """Symmetric association: mean of the two directional re-scaled CEs."""
-    return 0.5 * (rescaled_ce(t, COLS_GIVEN_ROWS) + rescaled_ce(t, ROWS_GIVEN_COLS))
 
 
 def association_matrices(m: CategoricalMatrix) -> AssociationMatrices:

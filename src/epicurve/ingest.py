@@ -22,10 +22,6 @@ from .errors import DataError
 REGIONS = ("North", "South")
 STATUSES = ("Urban", "Suburban")
 
-#: Default rate normalization: cases per 100,000 persons per day.
-DEFAULT_RATE_SCALE = 100_000.0
-
-
 @dataclass(frozen=True)
 class RawSeries:
     """Consecutive daily case counts for one unit."""
@@ -167,17 +163,6 @@ def parse_case_series(path) -> dict[str, RawSeries]:
     return out
 
 
-def write_case_series(path, series: dict[str, RawSeries]) -> None:
-    """Serialize a RawSeries set back to the CSV wire format (round-trippable)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "date", "count"])
-        for unit in sorted(series):
-            s = series[unit]
-            for i, c in enumerate(s.counts):
-                writer.writerow([unit, (s.start_date + dt.timedelta(days=i)).isoformat(), c])
-
-
 def parse_unit_metadata(path) -> dict[str, UnitMeta]:
     """Read the metadata CSV into a registry keyed by unit_id."""
     out: dict[str, UnitMeta] = {}
@@ -218,18 +203,6 @@ def parse_unit_metadata(path) -> dict[str, UnitMeta]:
     return out
 
 
-def compute_daily_rates(
-    series: RawSeries, meta: UnitMeta, scale: float = DEFAULT_RATE_SCALE
-) -> RateSeries:
-    """Convert counts to rates: counts[t] / population * scale."""
-    if series.unit_id != meta.unit_id:
-        raise DataError(
-            f"unit_id mismatch: series {series.unit_id!r} vs meta {meta.unit_id!r}"
-        )
-    rates = tuple(c / meta.population * scale for c in series.counts)
-    return RateSeries(unit_id=series.unit_id, start_date=series.start_date, rates=rates)
-
-
 def window_slice(series, start: dt.date, end: dt.date) -> slice:
     """Index range of the days [start, end] in a RawSeries or RateSeries."""
     if start > end:
@@ -242,8 +215,3 @@ def window_slice(series, start: dt.date, end: dt.date) -> slice:
     i = (start - series.start_date).days
     return slice(i, i + (end - start).days + 1)
 
-
-def window_clip(series: RateSeries, start: dt.date, end: dt.date) -> RateSeries:
-    """Return the sub-series covering exactly [start, end]."""
-    return RateSeries(unit_id=series.unit_id, start_date=start,
-                      rates=series.rates[window_slice(series, start, end)])

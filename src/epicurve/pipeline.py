@@ -27,16 +27,7 @@ import yaml
 from . import cluster_fuse, curve_features, infotheory, major_factor
 from .curve_features import FEATURE_COLUMNS, SHAPE_FEATURES
 from .errors import ConfigError, DataError
-from .ingest import (
-    DEFAULT_RATE_SCALE,
-    _open_input,
-    parse_case_series,
-    parse_unit_metadata,
-    window_slice,
-)
-
-#: Default study window (configurable).
-DEFAULT_WINDOW = (dt.date(2022, 3, 25), dt.date(2022, 8, 19))
+from .ingest import _open_input, parse_case_series, parse_unit_metadata, window_slice
 
 #: Metadata-derived binary response columns and their category coding.
 META_RESPONSES = {
@@ -78,9 +69,9 @@ class PipelineConfig:
     cases: str
     metadata: str
     output: str
-    window_start: dt.date = DEFAULT_WINDOW[0]
-    window_end: dt.date = DEFAULT_WINDOW[1]
-    rate_scale: float = DEFAULT_RATE_SCALE
+    window_start: dt.date = dt.date(2022, 3, 25)
+    window_end: dt.date = dt.date(2022, 8, 19)
+    rate_scale: float = 100_000.0  # cases per 100,000 persons per day
     n_bins: int = 4
     thresholds: tuple[float, ...] = (0.6, 0.7)
     fusions: tuple[FusionSpec, ...] = ()
@@ -88,30 +79,10 @@ class PipelineConfig:
     clusterings: tuple[ClusteringSpec, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "cases": self.cases,
-            "metadata": self.metadata,
-            "output": self.output,
-            "window": {"start": self.window_start, "end": self.window_end},
-            "rate_scale": self.rate_scale,
-            "n_bins": self.n_bins,
-            "thresholds": list(self.thresholds),
-            "fusions": [
-                {"name": f.name, "columns": list(f.columns), "k": f.k,
-                 "seed": f.seed, "restarts": f.restarts}
-                for f in self.fusions
-            ],
-            "responses": [
-                {"response": r.response, "candidates": list(r.candidates),
-                 "order": r.order, "replicates": r.replicates, "seed": r.seed,
-                 "top": r.top, "bottom": r.bottom}
-                for r in self.responses
-            ],
-            "clusterings": [
-                {"name": c.name, "columns": list(c.columns)}
-                for c in self.clusterings
-            ],
-        }
+        data = dataclasses.asdict(self)
+        data["window"] = {"start": data.pop("window_start"),
+                          "end": data.pop("window_end")}
+        return data
 
 
 def _as_date(value, what: str) -> dt.date:
@@ -137,15 +108,12 @@ def _check_names(kind: str, names: list[str], taken: frozenset = frozenset()) ->
             raise ConfigError(f"{kind} name {name!r} collides with a data column")
 
 
-_REQUIRED = object()
-
-
-def _field(section: str, mapping: dict, key: str, convert, default=_REQUIRED):
+def _field(section: str, mapping: dict, key: str, convert, default=dataclasses.MISSING):
     """``convert(mapping[key])``, or ``default`` when the key is absent; a
     missing required key or a value ``convert`` rejects is a ConfigError
     naming the section and the key."""
     if key not in mapping:
-        if default is _REQUIRED:
+        if default is dataclasses.MISSING:
             raise ConfigError(f"{section}: missing {key!r}")
         return default
     try:
@@ -154,12 +122,32 @@ def _field(section: str, mapping: dict, key: str, convert, default=_REQUIRED):
         raise ConfigError(f"{section}: bad {key} {mapping[key]!r}") from exc
 
 
-def _list_of(convert):
+def _int(value) -> int:
+    """``int(value)``, refusing bools and floats with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _list_of(convert, least: int = 0):
     def convert_list(value):
-        if not isinstance(value, (list, tuple)):
-            raise TypeError("not a list")
+        if not isinstance(value, (list, tuple)) or len(value) < least:
+            raise TypeError("not a list of enough items")
         return tuple(convert(v) for v in value)
     return convert_list
+
+
+#: Converter of a spec field by the text of its annotation (annotations are
+#: postponed in this module); a list of column names is never empty.
+_CONVERTERS = {"str": str, "int": _int, "tuple[str, ...]": _list_of(str, least=1)}
+
+
+def _spec(cls, section: str, mapping: dict):
+    """``cls`` built from ``mapping``, each field read through ``_field`` in
+    declaration order: the annotation picks the converter, and the field's
+    default, if it has one, is used when the key is absent."""
+    return cls(**{f.name: _field(section, mapping, f.name, _CONVERTERS[f.type], f.default)
+                  for f in dataclasses.fields(cls)})
 
 
 def _entries(data: dict, key: str):
@@ -173,7 +161,8 @@ def _entries(data: dict, key: str):
 def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     """Build and validate a PipelineConfig from a plain mapping.
 
-    Relative input/output paths are resolved against ``base_dir``.
+    Relative input/output paths are resolved against ``base_dir``, and
+    absent keys take the defaults of PipelineConfig and its specs.
     Column references are checked here, before any computation.
     """
     if not isinstance(data, dict):
@@ -189,35 +178,32 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     window = data.get("window", {}) or {}
     if not isinstance(window, dict):
         raise ConfigError("window must be a mapping with start and end")
-    start = _as_date(window.get("start", DEFAULT_WINDOW[0]), "window start")
-    end = _as_date(window.get("end", DEFAULT_WINDOW[1]), "window end")
+    start = _as_date(window.get("start", PipelineConfig.window_start), "window start")
+    end = _as_date(window.get("end", PipelineConfig.window_end), "window end")
     if start >= end:
         raise ConfigError(f"window start {start} must precede end {end}")
 
-    rate_scale = _field("config", data, "rate_scale", float, DEFAULT_RATE_SCALE)
+    rate_scale = _field("config", data, "rate_scale", float, PipelineConfig.rate_scale)
     if not (rate_scale > 0 and math.isfinite(rate_scale)):
         raise ConfigError(f"rate_scale must be finite and > 0, got {rate_scale}")
 
-    thresholds = _field("config", data, "thresholds", _list_of(float), (0.6, 0.7))
+    thresholds = _field("config", data, "thresholds", _list_of(float),
+                        PipelineConfig.thresholds)
     for t in thresholds:
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"threshold {t} outside [0, 1]")
 
-    n_bins = _field("config", data, "n_bins", int, 4)
+    n_bins = _field("config", data, "n_bins", _int, PipelineConfig.n_bins)
     if n_bins < 2:
         raise ConfigError("n_bins must be >= 2")
 
     fusions = []
     for section, f in _entries(data, "fusions"):
-        spec = FusionSpec(
-            name=_field(section, f, "name", str),
-            columns=_field(section, f, "columns", _list_of(str)),
-            k=_field(section, f, "k", int, 4),
-            seed=_field(section, f, "seed", int, 0),
-            restarts=_field(section, f, "restarts", int, 100),
-        )
+        spec = _spec(FusionSpec, section, f)
         if spec.k < 1 or spec.restarts < 1:
             raise ConfigError(f"fusion {spec.name}: k and restarts must be >= 1")
+        if spec.seed < 0:
+            raise ConfigError(f"fusion {spec.name}: seed must be >= 0")
         for c in spec.columns:
             if c not in NUMERIC_FEATURES:
                 raise ConfigError(f"fusion {spec.name}: unknown column {c!r}")
@@ -229,15 +215,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     categorical_names = set(("peakdate",) + SHAPE_FEATURES) | fusion_names
     responses = []
     for section, r in _entries(data, "responses"):
-        spec = ResponseSpec(
-            response=_field(section, r, "response", str),
-            candidates=_field(section, r, "candidates", _list_of(str)),
-            order=_field(section, r, "order", int, 2),
-            replicates=_field(section, r, "replicates", int, 200),
-            seed=_field(section, r, "seed", int, 0),
-            top=_field(section, r, "top", int, 5),
-            bottom=_field(section, r, "bottom", int, 1),
-        )
+        spec = _spec(ResponseSpec, section, r)
         if spec.order not in (1, 2, 3):
             raise ConfigError(
                 f"response {spec.response}: scan order must be 1, 2 or 3"
@@ -245,6 +223,8 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
         if spec.replicates < 1 or spec.top < 0 or spec.bottom < 0:
             raise ConfigError(f"response {spec.response}: replicates must be >= 1 "
                               "and top, bottom >= 0")
+        if spec.seed < 0:
+            raise ConfigError(f"response {spec.response}: seed must be >= 0")
         if spec.response not in categorical_names | set(META_RESPONSES):
             raise ConfigError(f"unknown response column {spec.response!r}")
         for c in spec.candidates:
@@ -257,10 +237,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
 
     clusterings = []
     for section, c in _entries(data, "clusterings"):
-        spec = ClusteringSpec(
-            name=_field(section, c, "name", str),
-            columns=_field(section, c, "columns", _list_of(str)),
-        )
+        spec = _spec(ClusteringSpec, section, c)
         for col in spec.columns:
             if col not in NUMERIC_FEATURES:
                 raise ConfigError(f"clustering {spec.name}: unknown column {col!r}")
@@ -499,30 +476,28 @@ def stage_fuse(cfg: PipelineConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # stage: select
 
-def _response_column(cfg: PipelineConfig, name, units, cat_columns) -> np.ndarray:
-    if name in META_RESPONSES:
-        meta = parse_unit_metadata(cfg.metadata)
-        first, second = META_RESPONSES[name]
-        out = []
-        for unit in units:
-            if unit not in meta:
-                raise DataError(f"{unit}: no metadata for response {name!r}")
-            value = getattr(meta[unit], name)
-            out.append(1 if value == first else 2)
-        return np.array(out)
+def _column(kind: str, name: str, cat_columns) -> np.ndarray:
     if name not in cat_columns:
-        raise ConfigError(f"unknown response column {name!r}")
+        raise DataError(f"{kind} {name!r} not found; run `associate`/`fuse` first")
     return cat_columns[name]
 
 
-def _scan_response(cfg: PipelineConfig, spec: ResponseSpec, units, cat_columns):
+def _response_column(name, units, cat_columns, meta) -> np.ndarray:
+    if name not in META_RESPONSES:
+        return _column("response", name, cat_columns)
+    first = META_RESPONSES[name][0]
+    out = []
+    for unit in units:
+        if unit not in meta:
+            raise DataError(f"{unit}: no metadata for response {name!r}")
+        out.append(1 if getattr(meta[unit], name) == first else 2)
+    return np.array(out)
+
+
+def _scan_response(spec: ResponseSpec, units, cat_columns, meta):
     """Run the order-1/2/3 scans plus nulls and classification for one response."""
-    y = _response_column(cfg, spec.response, units, cat_columns)
-    candidates = {}
-    for c in spec.candidates:
-        if c not in cat_columns:
-            raise DataError(f"candidate {c!r} not found; run `associate`/`fuse` first")
-        candidates[c] = cat_columns[c]
+    y = _response_column(spec.response, units, cat_columns, meta)
+    candidates = {c: _column("candidate", c, cat_columns) for c in spec.candidates}
 
     scan1, scan2, scan3 = (major_factor.scan(y, candidates, spec.order)
                            + [[]] * (3 - spec.order))
@@ -583,9 +558,11 @@ def stage_select(cfg: PipelineConfig) -> list[str]:
             raise DataError("fused.csv and categorical.csv disagree on units")
         cat_columns.update(f_columns)
 
+    meta = (parse_unit_metadata(cfg.metadata)
+            if any(s.response in META_RESPONSES for s in cfg.responses) else {})
     written = []
     for spec in cfg.responses:
-        scan1, scan2, scan3, nulls = _scan_response(cfg, spec, units, cat_columns)
+        scan1, scan2, scan3, nulls = _scan_response(spec, units, cat_columns, meta)
         written.append(_write_csv(
             cfg, f"scan_{spec.response}.csv",
             SCAN_COLUMNS,

@@ -18,11 +18,70 @@ from epicurve.curve_features import (
     right_crossing,
 )
 from epicurve.errors import ComputationError, DataError
-from epicurve.infotheory import ContingencyTable, DegenerateColumnWarning, entropy
-from epicurve.ingest import RateSeries, RawSeries
+from epicurve.infotheory import (
+    COLS_GIVEN_ROWS,
+    ROWS_GIVEN_COLS,
+    ContingencyTable,
+    DegenerateColumnWarning,
+    entropy,
+    rescaled_ce,
+)
+from epicurve.ingest import RateSeries, RawSeries, UnitMeta, window_slice
 
 START = dt.date(2022, 3, 25)
 END = dt.date(2022, 8, 19)
+
+
+def write_case_series(path, series: dict[str, RawSeries]) -> None:
+    """Serialize a RawSeries set back to the CSV wire format (round-trippable)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["unit_id", "date", "count"])
+        for unit in sorted(series):
+            s = series[unit]
+            for i, c in enumerate(s.counts):
+                writer.writerow([unit, (s.start_date + dt.timedelta(days=i)).isoformat(), c])
+
+
+def compute_daily_rates(
+    series: RawSeries, meta: UnitMeta, scale: float = 100_000.0
+) -> RateSeries:
+    """Convert counts to rates: counts[t] / population * scale."""
+    if series.unit_id != meta.unit_id:
+        raise DataError(
+            f"unit_id mismatch: series {series.unit_id!r} vs meta {meta.unit_id!r}"
+        )
+    rates = tuple(c / meta.population * scale for c in series.counts)
+    return RateSeries(unit_id=series.unit_id, start_date=series.start_date, rates=rates)
+
+
+def window_clip(series: RateSeries, start: dt.date, end: dt.date) -> RateSeries:
+    """Return the sub-series covering exactly [start, end]."""
+    return RateSeries(unit_id=series.unit_id, start_date=start,
+                      rates=series.rates[window_slice(series, start, end)])
+
+
+def contingency(x, y) -> ContingencyTable:
+    """Cross-tabulate two categorical columns; labels are the sorted
+    distinct observed categories (0 included when present)."""
+    x = np.asarray(x, dtype=int)
+    y = np.asarray(y, dtype=int)
+    if x.shape != y.shape:
+        raise ComputationError(f"length mismatch: {x.size} vs {y.size}")
+    if x.size == 0:
+        raise ComputationError("empty columns")
+    row_labels, xi = np.unique(x, return_inverse=True)
+    col_labels, yi = np.unique(y, return_inverse=True)
+    shape = (row_labels.size, col_labels.size)
+    counts = np.bincount(xi.reshape(-1) * shape[1] + yi.reshape(-1),
+                         minlength=shape[0] * shape[1]).reshape(shape)
+    return ContingencyTable(tuple(row_labels.tolist()), tuple(col_labels.tolist()),
+                            counts)
+
+
+def mutual_ce(t: ContingencyTable) -> float:
+    """Symmetric association: mean of the two directional re-scaled CEs."""
+    return 0.5 * (rescaled_ce(t, COLS_GIVEN_ROWS) + rescaled_ce(t, ROWS_GIVEN_COLS))
 
 
 def triangle(pad: int, rise: int, decline: int, peak: float, total: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from epicurve.infotheory import (
     _dense,
     association_matrices,
     conditional_entropy,
-    contingency,
     entropy,
 )
 from epicurve.major_factor import (
@@ -31,6 +30,7 @@ from epicurve.major_factor import (
 )
 
 from helpers import (
+    contingency,
     oracle_conditional_entropy,
     oracle_contingency,
     oracle_joint_conditional_entropy,

@@ -26,15 +26,9 @@ from epicurve.curve_features import (
     smooth_rows,
 )
 from epicurve.errors import ComputationError, DataError
-from epicurve.ingest import (
-    RateSeries,
-    compute_daily_rates,
-    parse_case_series,
-    parse_unit_metadata,
-    window_clip,
-)
+from epicurve.ingest import RateSeries, parse_case_series, parse_unit_metadata
 
-from helpers import oracle_extract_features
+from helpers import compute_daily_rates, oracle_extract_features, window_clip
 
 D0 = dt.date(2022, 3, 31)
 SETTINGS = settings(max_examples=300, deadline=None)

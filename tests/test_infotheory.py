@@ -11,14 +11,14 @@ from epicurve.infotheory import (
     DegenerateColumnWarning,
     association_matrices,
     conditional_entropy,
-    contingency,
     discretize,
     entropy,
-    mutual_ce,
     odds_ratio,
     rescaled_ce,
     threshold_network,
 )
+
+from helpers import contingency, mutual_ce
 
 
 def table(counts):

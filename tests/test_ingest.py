@@ -5,17 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicurve.errors import DataError
-from epicurve.ingest import (
-    RawSeries,
-    UnitMeta,
+from epicurve.ingest import RawSeries, UnitMeta, parse_case_series, parse_unit_metadata
+
+from helpers import (
     compute_daily_rates,
-    parse_case_series,
-    parse_unit_metadata,
+    oracle_parse_case_series,
     window_clip,
     write_case_series,
 )
-
-from helpers import oracle_parse_case_series
 
 D0 = dt.date(2022, 3, 25)
 

@@ -1,4 +1,5 @@
 import csv
+import datetime as dt
 import hashlib
 import os
 import re
@@ -62,6 +63,29 @@ class TestConfig:
         data["thresholds"] = [1.5]
         with pytest.raises(ConfigError, match="threshold"):
             pipeline.config_from_dict(data, base_dir=str(synthetic_dir))
+
+    def test_omitted_keys_take_the_defaults(self, tmp_path):
+        data = {"cases": "cases.csv", "metadata": "meta.csv", "output": "out",
+                "fusions": [{"name": "f", "columns": ["left80"]}],
+                "responses": [{"response": "region", "candidates": ["left80"]}],
+                "clusterings": [{"name": "c", "columns": ["left80"]}]}
+        assert pipeline.config_from_dict(data, base_dir=str(tmp_path)) == \
+            pipeline.PipelineConfig(
+                cases=str(tmp_path / "cases.csv"),
+                metadata=str(tmp_path / "meta.csv"),
+                output=str(tmp_path / "out"),
+                window_start=dt.date(2022, 3, 25),
+                window_end=dt.date(2022, 8, 19),
+                rate_scale=100000.0,
+                n_bins=4,
+                thresholds=(0.6, 0.7),
+                fusions=(pipeline.FusionSpec("f", ("left80",), k=4, seed=0,
+                                             restarts=100),),
+                responses=(pipeline.ResponseSpec("region", ("left80",), order=2,
+                                                 replicates=200, seed=0, top=5,
+                                                 bottom=1),),
+                clusterings=(pipeline.ClusteringSpec("c", ("left80",)),),
+            )
 
 
 class TestPipeline:
@@ -272,6 +296,38 @@ def _window_list(d):
     d["window"] = [1, 2]
 
 
+def _fusion_columns_empty(d):
+    d["fusions"][0]["columns"] = []
+
+
+def _clustering_columns_empty(d):
+    d["clusterings"][0]["columns"] = []
+
+
+def _candidates_empty(d):
+    d["responses"][0]["candidates"] = []
+
+
+def _fusion_seed_negative(d):
+    d["fusions"][0]["seed"] = -1
+
+
+def _response_seed_negative(d):
+    d["responses"][0]["seed"] = -1
+
+
+def _k_fractional(d):
+    d["fusions"][0]["k"] = 2.7
+
+
+def _k_bool(d):
+    d["fusions"][0]["k"] = True
+
+
+def _k_infinite(d):
+    d["fusions"][0]["k"] = float("inf")
+
+
 INVALID_CONFIGS = [
     (_restarts_zero, "restarts must be >= 1"),
     (_replicates_zero, "replicates must be >= 1"),
@@ -295,6 +351,14 @@ INVALID_CONFIGS = [
     (_rate_scale_nan, "rate_scale must be finite and > 0, got nan"),
     (_fusions_mapping, "fusions must be a list of mappings"),
     (_window_list, "window must be a mapping"),
+    (_fusion_columns_empty, "fusions[0]: bad columns []"),
+    (_clustering_columns_empty, "clusterings[0]: bad columns []"),
+    (_candidates_empty, "responses[0]: bad candidates []"),
+    (_fusion_seed_negative, "fusion left30to70: seed must be >= 0"),
+    (_response_seed_negative, "response region: seed must be >= 0"),
+    (_k_fractional, "fusions[0]: bad k 2.7"),
+    (_k_bool, "fusions[0]: bad k True"),
+    (_k_infinite, "fusions[0]: bad k inf"),
 ]
 
 
@@ -463,6 +527,27 @@ class TestCorruptInputsExit3:
         path.write_text(corrupt(path.read_text()))
         res = CliRunner().invoke(main, [stage, "--config", str(config)])
         _assert_one_line_data_error(res, message)
+
+
+@pytest.mark.parametrize("kind, column", [("response", "left80"),
+                                          ("candidate", "right50")])
+def test_column_missing_from_categorical_csv_is_a_data_error(synthetic_dir, tmp_path,
+                                                             kind, column):
+    config = _copy_run(synthetic_dir, tmp_path, "cases.csv")
+    data = yaml.safe_load(config.read_text())
+    data["responses"][0].update(response="left80",
+                                candidates=["left30to70", "right50", "peakvalue"])
+    config.write_text(yaml.safe_dump(data))
+    assert CliRunner().invoke(main, ["all", "--config", str(config)]).exit_code == 0
+    path = tmp_path / "out" / "categorical.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index(column)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(row[:drop] + row[drop + 1:] for row in rows)
+    res = CliRunner().invoke(main, ["select", "--config", str(config)])
+    _assert_one_line_data_error(
+        res, re.escape(f"{kind} '{column}' not found; run `associate`/`fuse` first"))
 
 
 def _missing(path):
