@@ -32,8 +32,6 @@ KERNEL = np.array([(7 - abs(d)) / 49.0 for d in range(-6, 7)])
 #: only for the robust peak and curvature).
 FEATURE_ALPHAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
-ALL_ALPHAS = (0.1,) + FEATURE_ALPHAS
-
 #: Column order of the feature CSV.
 FEATURE_COLUMNS = (
     ["peakdate", "peakvalue", "peak", "curvature"]
@@ -74,20 +72,6 @@ class CurveFeatures:
     curvature: Optional[int]
     left: dict[float, Optional[int]]
     right: dict[float, Optional[int]]
-
-    def as_row(self) -> dict[str, object]:
-        """Flatten to the feature-CSV column layout (NA as None)."""
-        row: dict[str, object] = {
-            "unit_id": self.unit_id,
-            "peakdate": self.peakdate.isoformat(),
-            "peakvalue": self.peakvalue,
-            "peak": self.peak,
-            "curvature": self.curvature,
-        }
-        for a in FEATURE_ALPHAS:
-            row[f"left{int(a * 100)}"] = self.left.get(a)
-            row[f"right{int(a * 100)}"] = self.right.get(a)
-        return row
 
 
 def smooth_rows(unit_ids: Sequence[str], rates: np.ndarray) -> np.ndarray:
@@ -140,41 +124,6 @@ def find_peak(s: SmoothedSeries) -> tuple[int, float]:
     return t_max, peak
 
 
-def left_crossing(s: SmoothedSeries, alpha: float) -> Optional[int]:
-    """First day at or before the peak with value >= (1-alpha)*peakvalue.
-
-    Returns None when the series already meets the threshold on its very
-    first smoothed day (left-censored).
-    """
-    t_max, peak = find_peak(s)
-    threshold = (1.0 - alpha) * peak
-    v = np.asarray(s.values)
-    if v[0] >= threshold:
-        return None
-    for t in range(t_max + 1):
-        if v[t] >= threshold:
-            return t
-    return t_max  # unreachable: v[t_max] == peak >= threshold
-
-
-def right_crossing(s: SmoothedSeries, alpha: float) -> Optional[int]:
-    """First day after the peak from which the curve stays strictly below
-    (1-alpha)*peakvalue through the end of the window; None if censored."""
-    t_max, peak = find_peak(s)
-    threshold = (1.0 - alpha) * peak
-    v = np.asarray(s.values)
-    if t_max == v.size - 1:
-        return None
-    # suffix running maximum over (t_max, end]
-    tail = v[t_max + 1:]
-    suffix_max = np.maximum.accumulate(tail[::-1])[::-1]
-    below = suffix_max < threshold
-    idx = np.nonzero(below)[0]
-    if idx.size == 0:
-        return None
-    return t_max + 1 + int(idx[0])
-
-
 def _crossings(v: np.ndarray, suffix_max: np.ndarray, peak: np.ndarray,
                alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise left_crossing and right_crossing at ``alpha``; -1 marks a
@@ -192,21 +141,46 @@ def _crossings(v: np.ndarray, suffix_max: np.ndarray, peak: np.ndarray,
             np.where(right == v.shape[1], -1, right))
 
 
-def extract_features_batch(unit_ids: Sequence[str], start_date: dt.date,
-                           values: np.ndarray) -> list[CurveFeatures]:
-    """extract_features for each row of a units × days matrix of smoothed
-    curves that share ``start_date``.
+def _one_row_crossings(s: SmoothedSeries, alpha: float) -> list[Optional[int]]:
+    """[left, right] crossing of one curve at ``alpha``, None if censored."""
+    _, peak = find_peak(s)
+    v = np.asarray(s.values, dtype=float)[None, :]
+    suffix_max = np.maximum.accumulate(v[:, ::-1], axis=1)[:, ::-1]
+    return [None if c[0] < 0 else int(c[0])
+            for c in _crossings(v, suffix_max, np.array([peak]), alpha)]
 
-    Results, warnings and errors are those of extract_features called row
-    by row in order: the first failing row raises after the warnings of
-    the rows before it.
+
+def left_crossing(s: SmoothedSeries, alpha: float) -> Optional[int]:
+    """First day at or before the peak with value >= (1-alpha)*peakvalue.
+
+    Returns None when the series already meets the threshold on its very
+    first smoothed day (left-censored).
+    """
+    return _one_row_crossings(s, alpha)[0]
+
+
+def right_crossing(s: SmoothedSeries, alpha: float) -> Optional[int]:
+    """First day after the peak from which the curve stays strictly below
+    (1-alpha)*peakvalue through the end of the window; None if censored."""
+    return _one_row_crossings(s, alpha)[1]
+
+
+def extract_features_batch(unit_ids: Sequence[str], start_date: dt.date,
+                           values: np.ndarray) -> dict[str, np.ndarray]:
+    """extract_features of each row of a units × days matrix of smoothed
+    curves that share ``start_date``, as one float64 column per
+    FEATURE_COLUMNS entry: NA is NaN and peakdate its day ordinal.
+
+    Warnings and errors are those of extract_features called row by row
+    in order: the first failing row raises after the warnings of the rows
+    before it.
     """
     v = np.asarray(values, dtype=float)
     units, days = v.shape
     if days == 0:
         if units:
             raise ComputationError(f"{unit_ids[0]}: empty smoothed series")
-        return []
+        return {c: np.empty(0) for c in FEATURE_COLUMNS}
     t_max = v.argmax(axis=1)
     peak = v[np.arange(units), t_max]
     edge = (t_max < 6) | (t_max > days - 7)
@@ -234,28 +208,33 @@ def extract_features_batch(unit_ids: Sequence[str], start_date: dt.date,
         )
 
     t0 = (l01 + r01) // 2
-    left, right = {}, {}
+    table = {"peakdate": (start_date.toordinal() + t_max).astype(float),
+             "peakvalue": peak,
+             "peak": np.where(edge, np.nan, t_max - t0),
+             "curvature": np.where(edge, np.nan, r01 - l01)}
     for a in FEATURE_ALPHAS:  # one alpha at a time keeps memory at units × days
         la, ra = _crossings(v, suffix_max, peak, a)
-        left[a] = [None if c < 0 else s for c, s in zip(la.tolist(), (t0 - la).tolist())]
-        right[a] = [None if c < 0 else s for c, s in zip(ra.tolist(), (ra - t0).tolist())]
+        table[f"left{int(a * 100)}"] = np.where(edge | (la < 0), np.nan, t0 - la)
+        table[f"right{int(a * 100)}"] = np.where(edge | (ra < 0), np.nan, ra - t0)
+    return {c: table[c] for c in FEATURE_COLUMNS}
 
-    out = []
-    for i, (unit, t, p, t0_i, c) in enumerate(zip(
-            unit_ids, t_max.tolist(), peak.tolist(), t0.tolist(),
-            (r01 - l01).tolist())):
-        centered = not edge[i]
-        out.append(CurveFeatures(
-            unit_id=unit,
-            peakdate=start_date + dt.timedelta(days=t),
-            peakvalue=p,
-            robust_peak=t0_i if centered else None,
-            peak=t - t0_i if centered else None,
-            curvature=c if centered else None,
-            left={a: left[a][i] if centered else None for a in FEATURE_ALPHAS},
-            right={a: right[a][i] if centered else None for a in FEATURE_ALPHAS},
-        ))
-    return out
+
+def _features_row(table: dict[str, np.ndarray], unit_id: str, start_date: dt.date,
+                  i: int) -> CurveFeatures:
+    """Row ``i`` of an extract_features_batch table as a CurveFeatures."""
+    span = {c: None if np.isnan(table[c][i]) else int(table[c][i])
+            for c in FEATURE_COLUMNS if c != "peakvalue"}
+    t_max = span["peakdate"] - start_date.toordinal()
+    return CurveFeatures(
+        unit_id=unit_id,
+        peakdate=start_date + dt.timedelta(days=t_max),
+        peakvalue=float(table["peakvalue"][i]),
+        robust_peak=None if span["peak"] is None else t_max - span["peak"],
+        peak=span["peak"],
+        curvature=span["curvature"],
+        left={a: span[f"left{int(a * 100)}"] for a in FEATURE_ALPHAS},
+        right={a: span[f"right{int(a * 100)}"] for a in FEATURE_ALPHAS},
+    )
 
 
 def extract_features(s: SmoothedSeries) -> CurveFeatures:
@@ -267,4 +246,5 @@ def extract_features(s: SmoothedSeries) -> CurveFeatures:
     fields are NA (with a warning) instead of failing the unit.
     """
     values = np.asarray(s.values, dtype=float)[None, :]
-    return extract_features_batch([s.unit_id], s.start_date, values)[0]
+    table = extract_features_batch([s.unit_id], s.start_date, values)
+    return _features_row(table, s.unit_id, s.start_date, 0)

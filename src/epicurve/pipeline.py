@@ -129,6 +129,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """``float(value)``, refusing bools."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
 def _list_of(convert, least: int = 0):
     def convert_list(value):
         if not isinstance(value, (list, tuple)) or len(value) < least:
@@ -183,11 +190,11 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     if start >= end:
         raise ConfigError(f"window start {start} must precede end {end}")
 
-    rate_scale = _field("config", data, "rate_scale", float, PipelineConfig.rate_scale)
+    rate_scale = _field("config", data, "rate_scale", _float, PipelineConfig.rate_scale)
     if not (rate_scale > 0 and math.isfinite(rate_scale)):
         raise ConfigError(f"rate_scale must be finite and > 0, got {rate_scale}")
 
-    thresholds = _field("config", data, "thresholds", _list_of(float),
+    thresholds = _field("config", data, "thresholds", _list_of(_float),
                         PipelineConfig.thresholds)
     for t in thresholds:
         if not 0.0 <= t <= 1.0:
@@ -232,6 +239,9 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
                 raise ConfigError(
                     f"response {spec.response}: unknown candidate column {c!r}"
                 )
+        if spec.response in spec.candidates:
+            raise ConfigError(f"response {spec.response}: a response cannot be "
+                              "its own candidate")
         responses.append(spec)
     _check_names("response", [r.response for r in responses])
 
@@ -297,16 +307,70 @@ def _write_csv(cfg: PipelineConfig, name: str, header, rows) -> str:
     return _write(cfg, name, buf.getvalue())
 
 
-def _fmt(v: Optional[float]) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, int) or (isinstance(v, float) and v == int(v)):
-        return str(int(v))
-    return f"{v:.6f}"
+def _write_table(cfg: PipelineConfig, name: str, units, columns: dict,
+                 cell=lambda column, value: value) -> str:
+    """Write a ``{column: array}`` table as a CSV with one row per unit;
+    ``cell(column, value)`` gives the cell of each value."""
+    cells = [[cell(c, v) for v in values.tolist()] for c, values in columns.items()]
+    return _write_csv(cfg, name, ["unit_id", *columns], zip(units, *cells))
+
+
+def _read_artifact(path: str, required):
+    """(header, rows) of a CSV artifact whose header holds ``required`` and
+    whose rows all have the header's width; blank lines are skipped."""
+    with _open_input(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        rows = [row for row in reader if row]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DataError(f"{path}: header lacks {', '.join(missing)}")
+    for row_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {row_no} has {len(row)} cells, "
+                            f"expected {len(header)}")
+    return header, rows
+
+
+def _read_table(path: str, columns, parse):
+    """(unit_ids, {column: array}) of a _write_table CSV, ``parse(column, text)``
+    reading each cell of ``columns`` (None: every column but unit_id)."""
+    header, rows = _read_artifact(path, ["unit_id", *(columns or ())])
+    index = {c: i for i, c in enumerate(header)}
+    cols = [(c, index[c], []) for c in columns or index if c != "unit_id"]
+    units = []
+    for row_no, row in enumerate(rows, start=2):
+        units.append(row[index["unit_id"]])
+        for c, i, values in cols:
+            try:
+                values.append(parse(c, row[i]))
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}: row {row_no}: unparseable {c} {row[i]!r}") from exc
+    return units, {c: np.array(values) for c, _, values in cols}
 
 
 # ---------------------------------------------------------------------------
 # stage: features
+
+def _feature_cell(column: str, value: float) -> str:
+    """features.csv cell of a table value; _feature_value reads it back."""
+    if math.isnan(value):
+        return ""
+    if column == "peakdate":
+        return dt.date.fromordinal(int(value)).isoformat()
+    return str(int(value)) if value.is_integer() else f"{value:.6f}"
+
+
+def _feature_value(column: str, text: str) -> float:
+    """Inverse of _feature_cell: an empty cell is NaN, any other must be finite."""
+    if column == "peakdate":
+        return float(dt.date.fromisoformat(text).toordinal())
+    value = float(text) if text else math.nan
+    if text and not math.isfinite(value):  # NaN is kept for NA
+        raise ValueError(text)
+    return value
+
 
 def stage_features(cfg: PipelineConfig) -> str:
     """Parse raw inputs and write the per-unit feature CSV.
@@ -329,55 +393,15 @@ def stage_features(cfg: PipelineConfig) -> str:
         population[i] = meta[unit].population
     rates = counts / population[:, None] * cfg.rate_scale
     smoothed = curve_features.smooth_rows(units, rates)
-    feats = curve_features.extract_features_batch(
+    table = curve_features.extract_features_batch(
         units, cfg.window_start + dt.timedelta(days=6), smoothed)
-
-    return _write_csv(cfg, "features.csv", ["unit_id"] + list(FEATURE_COLUMNS), (
-        [row["unit_id"], row["peakdate"]] + [_fmt(row[c]) for c in FEATURE_COLUMNS[1:]]
-        for row in map(curve_features.CurveFeatures.as_row, feats)
-    ))
-
-
-def _read_artifact(path: str, required):
-    """(header, rows) of a CSV artifact whose header holds ``required`` and
-    whose rows all have the header's width; blank lines are skipped."""
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None) or []
-        rows = [row for row in reader if row]
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise DataError(f"{path}: header lacks {', '.join(missing)}")
-    for row_no, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {row_no} has {len(row)} cells, "
-                            f"expected {len(header)}")
-    return header, rows
+    return _write_table(cfg, "features.csv", units, table, _feature_cell)
 
 
 def read_features_csv(path: str):
-    """Read features.csv into (unit_ids, {column: float64 array}); an empty
-    cell (NA) is NaN, any other cell must be a finite number, and peakdate
-    is its day ordinal."""
-    header, rows = _read_artifact(path, ["unit_id"] + list(FEATURE_COLUMNS))
-    index = {c: i for i, c in enumerate(header)}
-    i_unit, i_date = index["unit_id"], index["peakdate"]
-    numeric = [(c, index[c]) for c in FEATURE_COLUMNS[1:]]
-    units = []
-    columns: dict[str, list] = {c: [] for c in FEATURE_COLUMNS}
-    for row_no, row in enumerate(rows, start=2):
-        units.append(row[i_unit])
-        c, i = "peakdate", i_date
-        try:
-            columns[c].append(dt.date.fromisoformat(row[i]).toordinal())
-            for c, i in numeric:
-                value = float(row[i]) if row[i] else np.nan
-                if row[i] and not math.isfinite(value):  # NaN is kept for NA
-                    raise ValueError(row[i])
-                columns[c].append(value)
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_no}: unparseable {c} {row[i]!r}") from exc
-    return units, {c: np.array(v, dtype=float) for c, v in columns.items()}
+    """Read features.csv into (unit_ids, {column: float64 array}), the table
+    extract_features_batch returns."""
+    return _read_table(path, FEATURE_COLUMNS, _feature_value)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +426,8 @@ def stage_associate(cfg: PipelineConfig) -> list[str]:
     m = build_categorical(cfg, units, columns)
 
     written = [
-        _write_csv(cfg, "categorical.csv", ["unit_id"] + list(m.feature_names),
-                   ([unit] + [int(v) for v in m.cells[i]]
-                    for i, unit in enumerate(m.unit_ids))),
+        _write_table(cfg, "categorical.csv", m.unit_ids,
+                     dict(zip(m.feature_names, m.cells.T))),
         _write_csv(cfg, "bin_edges.csv",
                    ["feature"] + [f"edge{i}" for i in range(1, cfg.n_bins)],
                    ([name] + ([""] * (cfg.n_bins - 1) if m.bin_edges.get(name) is None
@@ -429,19 +452,7 @@ def stage_associate(cfg: PipelineConfig) -> list[str]:
 
 def read_categorical_csv(path: str):
     """Read categorical.csv into (unit_ids, {column: int array})."""
-    header, rows = _read_artifact(path, ["unit_id"])
-    index = {c: i for i, c in enumerate(header)}
-    i_unit = index.pop("unit_id")
-    units = []
-    columns: dict[str, list[int]] = {c: [] for c in index}
-    for row_no, row in enumerate(rows, start=2):
-        units.append(row[i_unit])
-        try:
-            for c, i in index.items():
-                columns[c].append(int(row[i]))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_no}: unparseable {c} {row[i]!r}") from exc
-    return units, {c: np.array(v) for c, v in columns.items()}
+    return _read_table(path, None, lambda column, text: int(text))
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +476,7 @@ def stage_fuse(cfg: PipelineConfig) -> list[str]:
             cfg, f"fusion_{spec.name}_centroids.csv", ["cluster"] + list(spec.columns),
             ([i + 1] + [f"{v:.6f}" for v in c] for i, c in enumerate(fused.centroids))))
 
-    names = [s.name for s in cfg.fusions]
-    written.append(_write_csv(
-        cfg, "fused.csv", ["unit_id"] + names,
-        ([unit] + [int(fused_cols[n][i]) for n in names]
-         for i, unit in enumerate(units))))
+    written.append(_write_table(cfg, "fused.csv", units, fused_cols))
     return written
 
 
@@ -677,7 +684,8 @@ def write_manifest(cfg: PipelineConfig) -> str:
                 continue
             full = os.path.join(root, fname)
             rel = os.path.relpath(full, cfg.output)
-            digest = hashlib.sha256(open(full, "rb").read()).hexdigest()
+            with open(full, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
             entries.append(f"{digest}  {rel}")
     return _write(cfg, "manifest.txt", "\n".join(sorted(entries)) + "\n")
 

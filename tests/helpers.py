@@ -11,11 +11,10 @@ import numpy as np
 
 from epicurve.curve_features import (
     FEATURE_ALPHAS,
+    FEATURE_COLUMNS,
     BoundaryPeakWarning,
     CurveFeatures,
     find_peak,
-    left_crossing,
-    right_crossing,
 )
 from epicurve.errors import ComputationError, DataError
 from epicurve.infotheory import (
@@ -279,9 +278,57 @@ def oracle_conditional_entropy(t: ContingencyTable) -> float:
     return h
 
 
+def oracle_left_crossing(s, alpha: float):
+    """left_crossing as a scan over the days up to the peak."""
+    t_max, peak = find_peak(s)
+    threshold = (1.0 - alpha) * peak
+    v = np.asarray(s.values)
+    if v[0] >= threshold:
+        return None
+    for t in range(t_max + 1):
+        if v[t] >= threshold:
+            return t
+    return t_max  # unreachable: v[t_max] == peak >= threshold
+
+
+def oracle_right_crossing(s, alpha: float):
+    """right_crossing from the running maximum of the days after the peak."""
+    t_max, peak = find_peak(s)
+    threshold = (1.0 - alpha) * peak
+    v = np.asarray(s.values)
+    if t_max == v.size - 1:
+        return None
+    # suffix running maximum over (t_max, end]
+    tail = v[t_max + 1:]
+    suffix_max = np.maximum.accumulate(tail[::-1])[::-1]
+    below = suffix_max < threshold
+    idx = np.nonzero(below)[0]
+    if idx.size == 0:
+        return None
+    return t_max + 1 + int(idx[0])
+
+
+def oracle_feature_line(f: CurveFeatures) -> str:
+    """features.csv line of one unit, formatted value by value: NA empty,
+    an integral value as an int, any other value to 6 decimals."""
+    def fmt(v):
+        if v is None:
+            return ""
+        if isinstance(v, int) or v == int(v):
+            return str(int(v))
+        return f"{v:.6f}"
+
+    row = {"peakvalue": f.peakvalue, "peak": f.peak, "curvature": f.curvature}
+    for a in FEATURE_ALPHAS:
+        row[f"left{int(a * 100)}"] = f.left[a]
+        row[f"right{int(a * 100)}"] = f.right[a]
+    return ",".join([f.unit_id, f.peakdate.isoformat()]
+                    + [fmt(row[c]) for c in FEATURE_COLUMNS[1:]])
+
+
 def oracle_extract_features(s) -> CurveFeatures:
-    """Features of one smoothed curve from the scalar peak and crossing
-    functions: one find_peak plus one left/right crossing scan per alpha."""
+    """Features of one smoothed curve from find_peak and the scalar
+    crossing oracles: one left/right crossing scan per alpha."""
     t_max, peak = find_peak(s)
     peakdate = s.start_date + dt.timedelta(days=t_max)
     n = len(s.values)
@@ -303,8 +350,8 @@ def oracle_extract_features(s) -> CurveFeatures:
             right={a: None for a in FEATURE_ALPHAS},
         )
 
-    l01 = left_crossing(s, 0.1)
-    r01 = right_crossing(s, 0.1)
+    l01 = oracle_left_crossing(s, 0.1)
+    r01 = oracle_right_crossing(s, 0.1)
     if l01 is None or r01 is None:
         raise ComputationError(
             f"{s.unit_id}: cannot center curve (a 90%-of-peak crossing is censored)"
@@ -312,8 +359,8 @@ def oracle_extract_features(s) -> CurveFeatures:
     t0 = (l01 + r01) // 2
     left, right = {}, {}
     for a in FEATURE_ALPHAS:
-        la = left_crossing(s, a)
-        ra = right_crossing(s, a)
+        la = oracle_left_crossing(s, a)
+        ra = oracle_right_crossing(s, a)
         left[a] = None if la is None else t0 - la
         right[a] = None if ra is None else ra - t0
 

@@ -256,7 +256,7 @@ def test_criterion_10_cli_determinism(synthetic_dir, tmp_path):
                 "--out", str(out),
             ])
             assert res.exit_code == 0, res.output
-            digests.append(open(out / "manifest.txt").read())
+            digests.append((out / "manifest.txt").read_text())
         assert digests[0] == digests[1]
         assert digests[0].strip()
     report(10, "byte-identical manifests across two `epicurve all` runs", t, 60.0)

@@ -4,6 +4,9 @@
 ``oracle_extract_features`` gives for that row alone: peak values bit for
 bit (``float.hex``), integer spans and NA patterns exactly, the same
 warnings (class and message, unit by unit) and the same first error.
+``left_crossing`` and ``right_crossing`` must match the scalar crossing
+oracles the same way, and ``features.csv`` must read back as the table the
+batch returned.
 """
 
 import dataclasses
@@ -20,15 +23,25 @@ from epicurve.curve_features import (
     FEATURE_ALPHAS,
     FEATURE_COLUMNS,
     SmoothedSeries,
+    _features_row,
     extract_features,
     extract_features_batch,
+    left_crossing,
+    right_crossing,
     smooth,
     smooth_rows,
 )
 from epicurve.errors import ComputationError, DataError
 from epicurve.ingest import RateSeries, parse_case_series, parse_unit_metadata
 
-from helpers import compute_daily_rates, oracle_extract_features, window_clip
+from helpers import (
+    compute_daily_rates,
+    oracle_extract_features,
+    oracle_feature_line,
+    oracle_left_crossing,
+    oracle_right_crossing,
+    window_clip,
+)
 
 D0 = dt.date(2022, 3, 31)
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -61,7 +74,8 @@ def assert_matches_oracle(matrix):
     units = [f"u{i:02d}" for i in range(matrix.shape[0])]
 
     def batch(feats):
-        feats.extend(extract_features_batch(units, D0, matrix))
+        table = extract_features_batch(units, D0, matrix)
+        feats.extend(_features_row(table, unit, D0, i) for i, unit in enumerate(units))
 
     def oracle(feats):
         for unit, row in zip(units, matrix):
@@ -164,8 +178,44 @@ def test_named_shapes_match_oracle(name):
 
 
 def test_no_rows():
-    assert extract_features_batch([], D0, np.zeros((0, 30))) == []
-    assert extract_features_batch([], D0, np.zeros((0, 0))) == []
+    for days in (30, 0):
+        table = extract_features_batch([], D0, np.zeros((0, days)))
+        assert list(table) == FEATURE_COLUMNS
+        assert all(c.dtype == np.float64 and c.shape == (0,) for c in table.values())
+
+
+def crossing_outcome(crossing, s, alpha):
+    """(result and its type, (error class, message) or None, [(warning class, message)])."""
+    result, error = None, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = crossing(s, alpha)
+        except ComputationError as exc:
+            error = (type(exc), str(exc))
+    return (result, type(result)), error, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_crossings_match_oracles(matrix):
+    for row in matrix:
+        s = SmoothedSeries("u", D0, tuple(row))
+        for alpha in (0.1,) + FEATURE_ALPHAS:
+            assert crossing_outcome(left_crossing, s, alpha) == \
+                crossing_outcome(oracle_left_crossing, s, alpha)
+            assert crossing_outcome(right_crossing, s, alpha) == \
+                crossing_outcome(oracle_right_crossing, s, alpha)
+
+
+@SETTINGS
+@given(curves())
+def test_crossings_match_scalar_oracles(matrix):
+    assert_crossings_match_oracles(matrix)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_named_shapes_crossings_match_scalar_oracles(name):
+    assert_crossings_match_oracles(
+        np.array(CASES[name], dtype=float).reshape(len(CASES[name]), -1))
 
 
 @SETTINGS
@@ -205,9 +255,7 @@ def test_stage_features_matches_per_unit_path(synthetic_dir, tmp_path, monkeypat
         rates = compute_daily_rates(series[unit], meta[unit], cfg.rate_scale)
         rates = window_clip(rates, cfg.window_start, cfg.window_end)
         assert [float(v).hex() for v in matrices[0][i]] == [v.hex() for v in rates.rates]
-        row = oracle_extract_features(smooth(rates)).as_row()
-        lines.append(",".join([unit, row["peakdate"]] + [
-            pipeline._fmt(row[c]) for c in FEATURE_COLUMNS[1:]]))
+        lines.append(oracle_feature_line(oracle_extract_features(smooth(rates))))
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "\n".join(lines) + "\n"
 
@@ -218,3 +266,30 @@ def test_stage_features_reports_a_reversed_window(synthetic_dir, tmp_path):
                               window_end=cfg.window_start)
     with pytest.raises(DataError, match="^window start 2022-08-19 after end 2022-03-25$"):
         pipeline.stage_features(cfg)
+
+
+@pytest.mark.parametrize("trim", [0, 40])  # 40: right crossings censored
+def test_features_csv_reads_back_the_kernel_table(synthetic_dir, tmp_path, monkeypatch,
+                                                  trim):
+    """read_features_csv of features.csv gives back the table
+    extract_features_batch returned: NaN in the same cells, peakdate and
+    spans exactly, peakvalue to the 6 decimals it is written with."""
+    cfg = pipeline.load_config(str(synthetic_dir / "config.yaml"))
+    cfg = dataclasses.replace(cfg, output=str(tmp_path),
+                              window_end=cfg.window_end - dt.timedelta(days=trim))
+    tables = []
+    monkeypatch.setattr(curve_features, "extract_features_batch",
+                        lambda *args: tables.append(extract_features_batch(*args))
+                        or tables[-1])
+    units, table = pipeline.read_features_csv(pipeline.stage_features(cfg))
+
+    assert units == sorted(parse_case_series(cfg.cases))
+    assert list(table) == list(tables[0]) == FEATURE_COLUMNS
+    for c, want in tables[0].items():
+        got = table[c]
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want)), c
+        if c == "peakvalue":
+            assert np.nanmax(np.abs(got - want), initial=0.0) <= 5e-7
+        else:
+            assert np.array_equal(got, want, equal_nan=True), c

@@ -23,7 +23,8 @@ def digest_dir(path):
         for f in files:
             full = os.path.join(root, f)
             rel = os.path.relpath(full, path)
-            out[rel] = hashlib.sha256(open(full, "rb").read()).hexdigest()
+            with open(full, "rb") as fh:
+                out[rel] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 
@@ -94,7 +95,8 @@ class TestPipeline:
 
         cfg = dataclasses.replace(cfg, output=str(tmp_path / "out"))
         manifest = pipeline.run_pipeline(cfg)
-        lines = open(manifest).read().splitlines()
+        with open(manifest) as fh:
+            lines = fh.read().splitlines()
         names = {line.split("  ", 1)[1] for line in lines}
         assert "features.csv" in names
         assert "categorical.csv" in names
@@ -150,7 +152,8 @@ class TestPipeline:
 
         cfg = dataclasses.replace(cfg, output=str(tmp_path / "out"))
         pipeline.run_pipeline(cfg)
-        header = open(os.path.join(cfg.output, "scan_region.csv")).readline().strip()
+        with open(os.path.join(cfg.output, "scan_region.csv")) as fh:
+            header = fh.readline().strip()
         assert header == (
             "features,ce,rescaled_ce,ce_drop,sce_drop,"
             "null_mean,null_q95,significant,classification"
@@ -191,7 +194,8 @@ class TestCli:
         res = self.run(synthetic_dir, "report", "--out", out,
                        "--top", "3", "--bottom", "1")
         assert res.exit_code == 0
-        text = open(os.path.join(out, "report_region.txt")).read()
+        with open(os.path.join(out, "report_region.txt")) as fh:
+            text = fh.read()
         header = text.splitlines()[0].split()
         assert header == ["1-feature", "CE", "SCE-drop", "2-feature", "CE", "SCE-drop"]
         assert len(text.splitlines()) == 2 + 4  # header, rule, 3 top + 1 bottom
@@ -328,6 +332,18 @@ def _k_infinite(d):
     d["fusions"][0]["k"] = float("inf")
 
 
+def _rate_scale_bool(d):
+    d["rate_scale"] = True
+
+
+def _threshold_bool(d):
+    d["thresholds"] = [True]
+
+
+def _response_own_candidate(d):
+    d["responses"][0]["response"] = "left80"
+
+
 INVALID_CONFIGS = [
     (_restarts_zero, "restarts must be >= 1"),
     (_replicates_zero, "replicates must be >= 1"),
@@ -359,6 +375,9 @@ INVALID_CONFIGS = [
     (_k_fractional, "fusions[0]: bad k 2.7"),
     (_k_bool, "fusions[0]: bad k True"),
     (_k_infinite, "fusions[0]: bad k inf"),
+    (_rate_scale_bool, "config: bad rate_scale True"),
+    (_threshold_bool, "config: bad thresholds [True]"),
+    (_response_own_candidate, "response left80: a response cannot be its own candidate"),
 ]
 
 
