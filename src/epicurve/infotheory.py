@@ -12,7 +12,7 @@ data to be dropped.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -25,16 +25,6 @@ COLS_GIVEN_ROWS = "cols|rows"
 
 class DegenerateColumnWarning(UserWarning):
     """Column has too few distinct values for the requested binning."""
-
-
-@dataclass(frozen=True)
-class CategoricalMatrix:
-    """Units x features matrix of categories in {0,1,..,n_bins}, 0 = NA."""
-
-    unit_ids: tuple[str, ...]
-    feature_names: tuple[str, ...]
-    cells: np.ndarray  # shape (n_units, n_features), dtype int
-    bin_edges: dict[str, Optional[np.ndarray]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -59,40 +49,6 @@ class ContingencyTable:
 
     def transpose(self) -> "ContingencyTable":
         return ContingencyTable(self.col_labels, self.row_labels, self.counts.T.copy())
-
-
-@dataclass(frozen=True)
-class AssociationMatrices:
-    """Pairwise directed and mutual re-scaled conditional entropies.
-
-    ``directed[i, j]`` is H(X_j | X_i) / H(X_j): how much of feature j's
-    uncertainty survives knowing feature i. ``mutual`` is the symmetric
-    average of the two directions. Diagonals are 0.
-    """
-
-    feature_names: tuple[str, ...]
-    directed: np.ndarray
-    mutual: np.ndarray
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Threshold network over features; minimal container for DOT export."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str, float], ...]  # (u, v, weight)
-    directed: bool
-
-    def to_dot(self, name: str = "association") -> str:
-        kind = "digraph" if self.directed else "graph"
-        arrow = "->" if self.directed else "--"
-        lines = [f"{kind} {name} {{"]
-        for node in self.nodes:
-            lines.append(f'    "{node}";')
-        for u, v, w in self.edges:
-            lines.append(f'    "{u}" {arrow} "{v}" [weight={w:.6f}];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def discretize(
@@ -252,14 +208,19 @@ def rescaled_ce(t: ContingencyTable, direction: str = COLS_GIVEN_ROWS) -> float:
     return conditional_entropy(t, direction) / h_target
 
 
-def association_matrices(m: CategoricalMatrix) -> AssociationMatrices:
-    """All-pairs directed and mutual re-scaled CEs over the feature columns."""
-    p = len(m.feature_names)
+def association_matrices(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Directed and mutual re-scaled CEs of a ``{name: int array}`` table.
+
+    ``directed[i, j]`` is H(X_j | X_i) / H(X_j): how much of feature j's
+    uncertainty survives knowing feature i. ``mutual`` is the symmetric
+    average of the two directions. Diagonals are 0.
+    """
+    p = len(columns)
     if p < 2:
         raise ComputationError("need at least 2 feature columns")
-    cells = np.ascontiguousarray(m.cells.T)
+    cells = np.array(list(columns.values()), dtype=int)
     h = [entropy(np.bincount(column)) for column in cells]
-    for name, h_j in zip(m.feature_names, h):
+    for name, h_j in zip(columns, h):
         if h_j == 0.0:
             raise ComputationError(f"degenerate column {name!r} (zero entropy)")
     directed = np.zeros((p, p))
@@ -269,29 +230,25 @@ def association_matrices(m: CategoricalMatrix) -> AssociationMatrices:
             cells[j], cells, others[:, None], first_seen=False) / h[j]
     mutual = 0.5 * (directed + directed.T)
     np.fill_diagonal(mutual, 0.0)
-    return AssociationMatrices(m.feature_names, directed, mutual)
+    return directed, mutual
 
 
-def threshold_network(
-    a: AssociationMatrices, which: str = "mutual", tau: float = 0.6
-) -> Graph:
-    """Edges where the association entry is <= tau; weight = 1 - entry."""
+def threshold_network(names, matrix, tau: float, directed: bool, name: str) -> str:
+    """DOT text of the network with an edge i -> j wherever the array entry
+    ``matrix[i, j]`` is <= tau, weighted 1 - entry, in row-major order; an
+    undirected network takes the upper triangle only."""
     if not 0.0 <= tau <= 1.0:
         raise ComputationError(f"threshold {tau} outside [0, 1]")
-    if which == "directed":
-        mat, is_directed = a.directed, True
-    elif which == "mutual":
-        mat, is_directed = a.mutual, False
-    else:
-        raise ComputationError(f"unknown matrix kind {which!r}")
-    names = a.feature_names
-    edges = []
-    for i in range(len(names)):
-        js = range(len(names)) if is_directed else range(i + 1, len(names))
-        for j in js:
-            if i != j and mat[i, j] <= tau:
-                edges.append((names[i], names[j], 1.0 - float(mat[i, j])))
-    return Graph(nodes=names, edges=tuple(edges), directed=is_directed)
+    keep = matrix <= tau
+    np.fill_diagonal(keep, False)
+    if not directed:
+        keep = np.triu(keep)
+    kind, arrow = ("digraph", "->") if directed else ("graph", "--")
+    lines = [f"{kind} {name} {{", *(f'    "{node}";' for node in names)]
+    lines += [f'    "{names[i]}" {arrow} "{names[j]}" [weight={1.0 - matrix[i, j]:.6f}];'
+              for i, j in zip(*np.nonzero(keep))]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def odds_ratio(t: ContingencyTable) -> tuple[float, float, float]:

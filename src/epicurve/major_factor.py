@@ -249,7 +249,7 @@ def factor_report(
 
     header = ["1-feature", "CE", "SCE-drop", "2-feature", "CE", "SCE-drop"]
     table = [cells(sel1, i) + cells(sel2, i) for i in range(n)]
-    widths = [max(len(header[c]), *(len(row[c]) for row in table)) for c in range(6)]
+    widths = [max(len(row[c]) for row in [header, *table]) for c in range(6)]
 
     def fmt(row, sep):
         return sep.join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()

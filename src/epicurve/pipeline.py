@@ -26,7 +26,7 @@ import yaml
 
 from . import cluster_fuse, curve_features, infotheory, major_factor
 from .curve_features import FEATURE_COLUMNS, SHAPE_FEATURES
-from .errors import ConfigError, DataError
+from .errors import ComputationError, ConfigError, DataError
 from .ingest import _open_input, parse_case_series, parse_unit_metadata, window_slice
 
 #: Metadata-derived binary response columns and their category coding.
@@ -315,6 +315,16 @@ def _write_table(cfg: PipelineConfig, name: str, units, columns: dict,
     return _write_csv(cfg, name, ["unit_id", *columns], zip(units, *cells))
 
 
+def _write_matrix(cfg: PipelineConfig, name: str, corner: str, header, labels,
+                  matrix) -> str:
+    """Write a labelled matrix as a CSV with one row per label: each value
+    to 6 decimals, NaN as an empty cell."""
+    rows = np.asarray(matrix, dtype=float).tolist()
+    return _write_csv(cfg, name, [corner, *header],
+                      ([label] + ["" if math.isnan(v) else f"{v:.6f}" for v in row]
+                       for label, row in zip(labels, rows)))
+
+
 def _read_artifact(path: str, required):
     """(header, rows) of a CSV artifact whose header holds ``required`` and
     whose rows all have the header's width; blank lines are skipped."""
@@ -407,46 +417,36 @@ def read_features_csv(path: str):
 # ---------------------------------------------------------------------------
 # stage: associate
 
-def build_categorical(cfg: PipelineConfig, units, columns) -> infotheory.CategoricalMatrix:
-    """Discretize peakdate plus the 18 shape features into categories."""
-    names = ("peakdate",) + SHAPE_FEATURES
-    binned = [infotheory.discretize(columns[name], cfg.n_bins) for name in names]
-    return infotheory.CategoricalMatrix(
-        unit_ids=tuple(units),
-        feature_names=names,
-        cells=np.column_stack([cats for cats, _ in binned]),
-        bin_edges={name: edges for name, (_, edges) in zip(names, binned)},
-    )
-
-
 def stage_associate(cfg: PipelineConfig) -> list[str]:
     """Discretize features and write association matrices and networks."""
     features_path = _require(cfg, "features.csv", "features")
-    units, columns = read_features_csv(features_path)
-    m = build_categorical(cfg, units, columns)
+    units, features = read_features_csv(features_path)
+    names = ("peakdate",) + SHAPE_FEATURES
+    columns, edges = {}, []
+    for name in names:
+        try:
+            columns[name], e = infotheory.discretize(features[name], cfg.n_bins)
+        except ComputationError as exc:
+            raise ComputationError(f"feature {name!r}: {exc}") from exc
+        edges.append(np.full(cfg.n_bins - 1, math.nan) if e is None else e)
 
     written = [
-        _write_table(cfg, "categorical.csv", m.unit_ids,
-                     dict(zip(m.feature_names, m.cells.T))),
-        _write_csv(cfg, "bin_edges.csv",
-                   ["feature"] + [f"edge{i}" for i in range(1, cfg.n_bins)],
-                   ([name] + ([""] * (cfg.n_bins - 1) if m.bin_edges.get(name) is None
-                              else [f"{v:.6f}" for v in m.bin_edges[name]])
-                    for name in m.feature_names)),
+        _write_table(cfg, "categorical.csv", units, columns),
+        _write_matrix(cfg, "bin_edges.csv", "feature",
+                      [f"edge{i}" for i in range(1, cfg.n_bins)], names, edges),
     ]
-
-    assoc = infotheory.association_matrices(m)
-    for kind, mat in (("directed", assoc.directed), ("mutual", assoc.mutual)):
-        written.append(_write_csv(
-            cfg, f"association_{kind}.csv", ["feature"] + list(assoc.feature_names),
-            ([name] + [f"{v:.6f}" for v in mat[i]]
-             for i, name in enumerate(assoc.feature_names))))
+    matrices = dict(zip(("directed", "mutual"), infotheory.association_matrices(columns)))
+    for kind, matrix in matrices.items():
+        written.append(_write_matrix(cfg, f"association_{kind}.csv", "feature",
+                                     names, names, matrix))
 
     for tau in cfg.thresholds:
-        for kind in ("directed", "mutual"):
-            g = infotheory.threshold_network(assoc, kind, tau)
-            written.append(_write(cfg, f"network_{kind}_{tau:g}.dot",
-                                  g.to_dot(name=f"{kind}_{str(tau).replace('.', '_')}")))
+        # an unquoted DOT ID holds only letters, digits and underscores
+        graph_id = str(tau).replace(".", "_").replace("-", "_")
+        for kind, matrix in matrices.items():
+            dot = infotheory.threshold_network(names, matrix, tau, kind == "directed",
+                                               f"{kind}_{graph_id}")
+            written.append(_write(cfg, f"network_{kind}_{tau:g}.dot", dot))
     return written
 
 
@@ -472,9 +472,9 @@ def stage_fuse(cfg: PipelineConfig) -> list[str]:
         )
         fused_cols[spec.name] = fused.labels
 
-        written.append(_write_csv(
-            cfg, f"fusion_{spec.name}_centroids.csv", ["cluster"] + list(spec.columns),
-            ([i + 1] + [f"{v:.6f}" for v in c] for i, c in enumerate(fused.centroids))))
+        written.append(_write_matrix(
+            cfg, f"fusion_{spec.name}_centroids.csv", "cluster", spec.columns,
+            range(1, spec.k + 1), fused.centroids))
 
     written.append(_write_table(cfg, "fused.csv", units, fused_cols))
     return written

@@ -253,6 +253,27 @@ def oracle_joint_conditional_entropy(y, cols) -> float:
     return h
 
 
+def oracle_network_dot(names, matrix, tau: float, directed: bool, name: str) -> str:
+    """DOT text of a threshold network by a nested loop over the matrix:
+    an edge (names[i], names[j]) with weight 1 - entry wherever the entry
+    is <= tau and i != j; an undirected network scans j > i only."""
+    edges = []
+    for i in range(len(names)):
+        js = range(len(names)) if directed else range(i + 1, len(names))
+        for j in js:
+            if i != j and matrix[i, j] <= tau:
+                edges.append((names[i], names[j], 1.0 - float(matrix[i, j])))
+    kind = "digraph" if directed else "graph"
+    arrow = "->" if directed else "--"
+    lines = [f"{kind} {name} {{"]
+    for node in names:
+        lines.append(f'    "{node}";')
+    for u, v, w in edges:
+        lines.append(f'    "{u}" {arrow} "{v}" [weight={w:.6f}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def oracle_contingency(x, y) -> ContingencyTable:
     """Cross-tabulation by a row loop over sorted distinct labels."""
     x = np.asarray(x, dtype=int)

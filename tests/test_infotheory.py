@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicurve.errors import ComputationError
 from epicurve.infotheory import (
     COLS_GIVEN_ROWS,
     ROWS_GIVEN_COLS,
-    AssociationMatrices,
-    CategoricalMatrix,
     ContingencyTable,
     DegenerateColumnWarning,
     association_matrices,
@@ -18,7 +20,7 @@ from epicurve.infotheory import (
     threshold_network,
 )
 
-from helpers import contingency, mutual_ce
+from helpers import contingency, mutual_ce, oracle_network_dot
 
 
 def table(counts):
@@ -179,22 +181,11 @@ class TestMutualCE:
             assert mutual_ce(t) == pytest.approx(mutual_ce(t.transpose()), abs=1e-12)
 
 
-def cat_matrix(columns: dict):
-    names = tuple(columns)
-    cells = np.column_stack([columns[n] for n in names])
-    return CategoricalMatrix(
-        unit_ids=tuple(f"u{i}" for i in range(cells.shape[0])),
-        feature_names=names,
-        cells=cells,
-    )
-
-
 class TestAssociationMatrices:
     def test_identical_columns_zero(self):
-        m = cat_matrix({"a": [1, 2, 3, 1], "b": [1, 2, 3, 1]})
-        a = association_matrices(m)
-        assert a.directed[0, 1] == 0.0
-        assert a.directed[1, 0] == 0.0
+        directed, _ = association_matrices({"a": [1, 2, 3, 1], "b": [1, 2, 3, 1]})
+        assert directed[0, 1] == 0.0
+        assert directed[1, 0] == 0.0
 
     def test_independent_product_columns_one(self):
         x, y = [], []
@@ -203,64 +194,80 @@ class TestAssociationMatrices:
                 for _ in range(3):
                     x.append(i)
                     y.append(j)
-        a = association_matrices(cat_matrix({"a": x, "b": y}))
-        assert a.directed[0, 1] == pytest.approx(1.0, abs=1e-12)
-        assert a.mutual[0, 1] == pytest.approx(1.0, abs=1e-12)
+        directed, mutual = association_matrices({"a": x, "b": y})
+        assert directed[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert mutual[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_against_bruteforce_oracle(self):
         rng = np.random.default_rng(21)
         columns = {f"f{i:02d}": rng.integers(0, 5, size=60) for i in range(18)}
-        m = cat_matrix(columns)
-        a = association_matrices(m)
+        directed, mutual = association_matrices(columns)
         names = list(columns)
         for i, ni in enumerate(names):
             for j, nj in enumerate(names):
                 if i == j:
-                    assert a.directed[i, j] == 0.0
+                    assert directed[i, j] == 0.0
                     continue
                 t = contingency(columns[ni], columns[nj])
                 expect = conditional_entropy(t, COLS_GIVEN_ROWS) / entropy(t.col_sums)
-                assert a.directed[i, j] == pytest.approx(expect, abs=1e-12)
-        assert np.array_equal(a.mutual, a.mutual.T)
+                assert directed[i, j] == pytest.approx(expect, abs=1e-12)
+        assert np.array_equal(mutual, mutual.T)
 
     def test_degenerate_column_named(self):
-        m = cat_matrix({"ok": [1, 2, 1, 2], "flat": [3, 3, 3, 3]})
         with pytest.raises(ComputationError, match="flat"):
-            association_matrices(m)
+            association_matrices({"ok": [1, 2, 1, 2], "flat": [3, 3, 3, 3]})
+
+
+NAMES = ("a", "b", "c", "d")
+
+
+def edges(dot):
+    """(u, v) of every edge line of a DOT text."""
+    return {tuple(re.findall(r'"([^"]*)"', line)) for line in dot.splitlines()
+            if "->" in line or "--" in line}
 
 
 class TestThresholdNetwork:
     @pytest.fixture
     def assoc(self):
         rng = np.random.default_rng(9)
-        names = ("a", "b", "c", "d")
         directed = rng.uniform(0.2, 0.95, size=(4, 4))
         np.fill_diagonal(directed, 0.0)
         mutual = 0.5 * (directed + directed.T)
         np.fill_diagonal(mutual, 0.0)
-        return AssociationMatrices(names, directed, mutual)
+        return {"directed": directed, "mutual": mutual}
 
     def test_tau_zero_edgeless(self, assoc):
-        g = threshold_network(assoc, "mutual", 0.0)
-        assert g.edges == ()
+        dot = threshold_network(NAMES, assoc["mutual"], 0.0, False, "g")
+        assert edges(dot) == set()
 
     def test_tau_one_complete(self, assoc):
-        g = threshold_network(assoc, "directed", 1.0)
-        assert len(g.edges) == 12
+        dot = threshold_network(NAMES, assoc["directed"], 1.0, True, "g")
+        assert len(edges(dot)) == 12
 
     def test_monotone_edge_sets(self, assoc):
-        e6 = {e[:2] for e in threshold_network(assoc, "mutual", 0.6).edges}
-        e7 = {e[:2] for e in threshold_network(assoc, "mutual", 0.7).edges}
+        e6 = edges(threshold_network(NAMES, assoc["mutual"], 0.6, False, "g"))
+        e7 = edges(threshold_network(NAMES, assoc["mutual"], 0.7, False, "g"))
         assert e6 <= e7
 
     def test_dot_output(self, assoc):
-        g = threshold_network(assoc, "directed", 0.9)
-        dot = g.to_dot()
+        dot = threshold_network(NAMES, assoc["directed"], 0.9, True, "association")
         assert dot.startswith("digraph")
         assert "->" in dot
-        und = threshold_network(assoc, "mutual", 0.9).to_dot()
+        und = threshold_network(NAMES, assoc["mutual"], 0.9, False, "association")
         assert und.startswith("graph")
         assert "--" in und
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 6), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+           st.booleans())
+    def test_matches_nested_loop_oracle(self, data, p, tau, directed):
+        matrix = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=p * p, max_size=p * p)))
+        matrix = matrix.reshape(p, p)
+        names = tuple(f"f{i}" for i in range(p))
+        got = threshold_network(names, matrix, tau, directed, "net_0_5")
+        assert got == oracle_network_dot(names, matrix, tau, directed, "net_0_5")
 
 
 class TestOddsRatio:

@@ -14,7 +14,7 @@ from epicurve import pipeline
 from epicurve.cli import main
 from epicurve.errors import ConfigError
 
-from helpers import base_config
+from helpers import START, base_config
 
 
 def digest_dir(path):
@@ -191,14 +191,16 @@ class TestCli:
     def test_report_top_bottom_layout(self, synthetic_dir, tmp_path):
         out = str(tmp_path / "o")
         assert self.run(synthetic_dir, "all", "--out", out).exit_code == 0
-        res = self.run(synthetic_dir, "report", "--out", out,
-                       "--top", "3", "--bottom", "1")
-        assert res.exit_code == 0
-        with open(os.path.join(out, "report_region.txt")) as fh:
-            text = fh.read()
-        header = text.splitlines()[0].split()
-        assert header == ["1-feature", "CE", "SCE-drop", "2-feature", "CE", "SCE-drop"]
-        assert len(text.splitlines()) == 2 + 4  # header, rule, 3 top + 1 bottom
+        # header, rule, then the top and bottom rows
+        for top, bottom, lines in ((3, 1, 2 + 4), (0, 0, 2)):
+            res = self.run(synthetic_dir, "report", "--out", out,
+                           "--top", str(top), "--bottom", str(bottom))
+            assert res.exit_code == 0
+            with open(os.path.join(out, "report_region.txt")) as fh:
+                text = fh.read()
+            header = text.splitlines()[0].split()
+            assert header == ["1-feature", "CE", "SCE-drop", "2-feature", "CE", "SCE-drop"]
+            assert len(text.splitlines()) == lines
 
     def test_cli_matches_library_run(self, synthetic_dir, tmp_path, cfg):
         import dataclasses
@@ -637,3 +639,30 @@ def test_report_rejects_negative_counts(synthetic_dir, tmp_path, option):
     assert res.exit_code == 2
     assert f"Invalid value for '{option}'" in res.output
     assert not os.path.exists(tmp_path / "o")
+
+
+def _run_all(tmp_path, synthetic_dir, **changes):
+    """Exit of ``epicurve all`` on the synthetic inputs with config changes."""
+    for raw in ("cases.csv", "meta.csv"):
+        shutil.copy(synthetic_dir / raw, tmp_path / raw)
+    config = tmp_path / "config.yaml"
+    with open(config, "w") as fh:
+        yaml.safe_dump({**base_config(tmp_path), **changes}, fh)
+    return CliRunner().invoke(main, ["all", "--config", str(config)])
+
+
+def test_all_na_feature_is_named(synthetic_dir, tmp_path):
+    res = _run_all(tmp_path, synthetic_dir,
+                   window={"start": START, "end": START + dt.timedelta(days=80)})
+    assert res.exit_code == 4, res.output
+    assert "right90" in res.output
+
+
+def test_dot_graph_ids_are_valid(synthetic_dir, tmp_path):
+    res = _run_all(tmp_path, synthetic_dir, thresholds=[1e-05, 0.6])
+    assert res.exit_code == 0, res.output
+    dots = sorted((tmp_path / "out").glob("network_*.dot"))
+    assert len(dots) == 4
+    for path in dots:
+        graph_id = path.read_text().splitlines()[0].split()[1]
+        assert re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", graph_id), (path.name, graph_id)
