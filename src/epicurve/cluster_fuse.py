@@ -19,6 +19,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -199,8 +200,9 @@ def hcluster_ward(
     # squared Euclidean distances between the clusters held in each slot; a
     # cluster sits in the slot of its smallest leaf, and the diagonal and
     # slots merged away hold inf
-    diff = x[:, None, :] - x[None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
+    d2 = np.empty((n, n))
+    for a in range(0, n, 64):  # in row blocks: no n x n x d difference array
+        d2[a:a + 64] = ((x[a:a + 64, None, :] - x[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     size = np.ones(n)
     node = np.arange(n)
@@ -233,39 +235,43 @@ def hcluster_ward(
 
 
 def leaf_codes(tree: HCTree) -> LeafCodes:
-    """Binary path codes (left=0, right=1) and common-prefix similarity."""
+    """Binary path codes (left=0, right=1) and common-prefix similarity.
+
+    In traversal order the codes are sorted, so leaves p < q of that order
+    share the smallest common prefix of the adjacent pairs between them:
+    each similarity row is one running minimum.
+    """
     children = tree.children()
     codes: dict[int, str] = {}
     order: list[int] = []
+    # shared[p]: common-prefix length of traversal leaves p - 1 and p. A right
+    # child's first leaf shares its parent's prefix with the leaf before it; a
+    # left child's first leaf is its parent's.
+    shared: list[int] = []
 
-    stack = [(tree.root, "")]
+    stack = [(tree.root, "", 0)]
     while stack:
-        node, prefix = stack.pop()
+        node, prefix, lcp = stack.pop()
         if node in children:
             left, right = children[node]
             # push right first so left is visited first
-            stack.append((right, prefix + "1"))
-            stack.append((left, prefix + "0"))
+            stack.append((right, prefix + "1", len(prefix)))
+            stack.append((left, prefix + "0", lcp))
         else:
             codes[node] = prefix
             order.append(node)
+            shared.append(lcp)
 
     n = tree.n_leaves
-    code_list = tuple(codes[i] for i in range(n))
-    sim = np.zeros((n, n), dtype=int)
-    for u in range(n):
-        sim[u, u] = len(code_list[u])
-        for v in range(u + 1, n):
-            a, b = code_list[u], code_list[v]
-            m = 0
-            for ca, cb in zip(a, b):
-                if ca != cb:
-                    break
-                m += 1
-            sim[u, v] = sim[v, u] = m
+    adjacent = np.array(shared[1:], dtype=int)
+    tsim = np.diag(np.array([len(codes[i]) for i in order], dtype=int))
+    for p in range(n - 1):
+        tsim[p, p + 1:] = tsim[p + 1:, p] = np.minimum.accumulate(adjacent[p:])
+    sim = np.empty_like(tsim)
+    sim[np.ix_(order, order)] = tsim
     return LeafCodes(
         leaf_labels=tree.leaf_labels,
-        codes=code_list,
+        codes=tuple(codes[i] for i in range(n)),
         similarity=sim,
         leaf_order=tuple(order),
     )
@@ -274,11 +280,12 @@ def leaf_codes(tree: HCTree) -> LeafCodes:
 def similarity_csv(codes: LeafCodes) -> str:
     """Similarity matrix as CSV, rows/columns in tree leaf order."""
     order = list(codes.leaf_order)
+    labels = [codes.leaf_labels[i] for i in order]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit"] + [codes.leaf_labels[i] for i in order])
-    writer.writerows([codes.leaf_labels[i]] + codes.similarity[i, order].tolist()
-                     for i in order)
+    writer.writerow(["unit"] + labels)
+    writer.writerows([label] + row for label, row in
+                     zip(labels, codes.similarity[np.ix_(order, order)].tolist()))
     return buf.getvalue()
 
 
@@ -297,16 +304,13 @@ def similarity_svg(codes: LeafCodes) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         '<style>text { font-family: monospace; font-size: 8px; }</style>',
     ]
-    for r, i in enumerate(order):
-        for c, j in enumerate(order):
-            s = int(codes.similarity[i, j]) / max_sim
-            shade = int(round(255 * (1.0 - s)))
-            x = _LABEL_SPACE + c * _CELL
-            y = _LABEL_SPACE + r * _CELL
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
-                f'fill="rgb({shade},{shade},{shade})"/>'
-            )
+    # each <rect> joins its column's head, its row's y and its value's tail
+    heads = [f'<rect x="{_LABEL_SPACE + c * _CELL}" y="' for c in range(n)]
+    shades = [int(round(255 * (1.0 - v / max_sim))) for v in range(max_sim + 1)]
+    tails = [f'" width="{_CELL}" height="{_CELL}" fill="rgb({s},{s},{s})"/>' for s in shades]
+    for r, row in enumerate(codes.similarity[np.ix_(order, order)].tolist()):
+        y = repeat(str(_LABEL_SPACE + r * _CELL))
+        parts.append("\n".join(map("".join, zip(heads, y, map(tails.__getitem__, row)))))
     for r, i in enumerate(order):
         # escaped by hand: xml.sax.saxutils imports urllib.request, which
         # would lengthen every CLI start
@@ -319,8 +323,8 @@ def similarity_svg(codes: LeafCodes) -> str:
             f'<text x="{x}" y="{_LABEL_SPACE - 4}" '
             f'transform="rotate(-90 {x} {_LABEL_SPACE - 4})">{label}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")  # a trailing `+ "\n"` would copy the whole text
+    return "\n".join(parts)
 
 
 def tree_csv(tree: HCTree) -> str:

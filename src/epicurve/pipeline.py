@@ -597,7 +597,10 @@ def stage_cluster(cfg: PipelineConfig) -> list[str]:
     written = []
     for spec in cfg.clusterings:
         matrix = np.column_stack([columns[c] for c in spec.columns])
-        tree, excluded = cluster_fuse.hcluster_ward(matrix, units)
+        try:
+            tree, excluded = cluster_fuse.hcluster_ward(matrix, units)
+        except ComputationError as exc:
+            raise ComputationError(f"{spec.name}: {exc}") from exc
         codes = cluster_fuse.leaf_codes(tree)
 
         written.append(_write(cfg, f"tree_{spec.name}.csv", cluster_fuse.tree_csv(tree)))

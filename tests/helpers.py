@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 import warnings
 
@@ -536,3 +537,93 @@ def oracle_hcluster_ward(matrix, leaf_labels):
         min_leaf[node] = min(min_leaf[i], min_leaf[j])
 
     return HCTree(leaf_labels=tuple(kept), merges=tuple(merges)), excluded
+
+
+def oracle_leaf_codes(tree):
+    """Leaf codes by one stack traversal, and their similarity by comparing
+    the two codes of every pair character by character."""
+    from epicurve.cluster_fuse import LeafCodes
+
+    children = tree.children()
+    codes: dict[int, str] = {}
+    order: list[int] = []
+
+    stack = [(tree.root, "")]
+    while stack:
+        node, prefix = stack.pop()
+        if node in children:
+            left, right = children[node]
+            # push right first so left is visited first
+            stack.append((right, prefix + "1"))
+            stack.append((left, prefix + "0"))
+        else:
+            codes[node] = prefix
+            order.append(node)
+
+    n = tree.n_leaves
+    code_list = tuple(codes[i] for i in range(n))
+    sim = np.zeros((n, n), dtype=int)
+    for u in range(n):
+        sim[u, u] = len(code_list[u])
+        for v in range(u + 1, n):
+            a, b = code_list[u], code_list[v]
+            m = 0
+            for ca, cb in zip(a, b):
+                if ca != cb:
+                    break
+                m += 1
+            sim[u, v] = sim[v, u] = m
+    return LeafCodes(
+        leaf_labels=tree.leaf_labels,
+        codes=code_list,
+        similarity=sim,
+        leaf_order=tuple(order),
+    )
+
+
+def oracle_similarity_csv(codes) -> str:
+    """Similarity CSV with one fancy-indexed matrix row per output row."""
+    order = list(codes.leaf_order)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["unit"] + [codes.leaf_labels[i] for i in order])
+    writer.writerows([codes.leaf_labels[i]] + codes.similarity[i, order].tolist()
+                     for i in order)
+    return buf.getvalue()
+
+
+def oracle_similarity_svg(codes) -> str:
+    """Heatmap SVG with one formatted ``<rect>`` per matrix cell."""
+    from epicurve.cluster_fuse import _CELL, _LABEL_SPACE
+
+    order = codes.leaf_order
+    n = len(order)
+    max_sim = max(1, int(codes.similarity.max()))
+    width = _LABEL_SPACE + n * _CELL + 10
+    height = _LABEL_SPACE + n * _CELL + 10
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        '<style>text { font-family: monospace; font-size: 8px; }</style>',
+    ]
+    for r, i in enumerate(order):
+        for c, j in enumerate(order):
+            s = int(codes.similarity[i, j]) / max_sim
+            shade = int(round(255 * (1.0 - s)))
+            x = _LABEL_SPACE + c * _CELL
+            y = _LABEL_SPACE + r * _CELL
+            parts.append(
+                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
+                f'fill="rgb({shade},{shade},{shade})"/>'
+            )
+    for r, i in enumerate(order):
+        label = codes.leaf_labels[i].replace("&", "&amp;").replace("<", "&lt;")
+        label = label.replace(">", "&gt;")
+        y = _LABEL_SPACE + r * _CELL + _CELL - 2
+        parts.append(f'<text x="2" y="{y}">{label}</text>')
+        x = _LABEL_SPACE + r * _CELL + 2
+        parts.append(
+            f'<text x="{x}" y="{_LABEL_SPACE - 4}" '
+            f'transform="rotate(-90 {x} {_LABEL_SPACE - 4})">{label}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

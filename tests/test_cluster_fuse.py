@@ -1,7 +1,13 @@
+from itertools import zip_longest
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicurve.cluster_fuse import (
+    HCTree,
     hcluster_ward,
     kmeans_fuse,
     leaf_codes,
@@ -11,7 +17,13 @@ from epicurve.cluster_fuse import (
     tree_csv,
 )
 from epicurve.errors import ComputationError
-from helpers import naive_ward_reference, random_merge_tree
+from helpers import (
+    naive_ward_reference,
+    oracle_leaf_codes,
+    oracle_similarity_csv,
+    oracle_similarity_svg,
+    random_merge_tree,
+)
 
 
 def corners(reps=5, jitter=0.01, seed=0):
@@ -229,3 +241,59 @@ class TestArtifacts:
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         assert svg.count("<rect") == 100
+
+
+def first_difference(got: str, want: str):
+    """(line number, got line, wanted line) where two texts first differ, or
+    None; pytest's own diff of megabyte strings would take minutes."""
+    lines = zip_longest(got.splitlines(True), want.splitlines(True))
+    return next(((no, *pair) for no, pair in enumerate(lines, 1)
+                 if pair[0] != pair[1]), None)
+
+
+def assert_render_matches_oracle(tree):
+    """Codes, order, similarity (values and dtype), CSV and SVG all equal
+    the per-pair and per-cell forms; the SVG parses as XML."""
+    got, want = leaf_codes(tree), oracle_leaf_codes(tree)
+    assert got.codes == want.codes
+    assert got.leaf_order == want.leaf_order
+    assert got.similarity.dtype == want.similarity.dtype
+    assert np.array_equal(got.similarity, want.similarity)
+    assert first_difference(similarity_csv(got), oracle_similarity_csv(want)) is None
+    svg = similarity_svg(got)
+    assert first_difference(svg, oracle_similarity_svg(want)) is None
+    root = ElementTree.fromstring(svg)
+    texts = [t.text or "" for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[::2] == [tree.leaf_labels[i] for i in got.leaf_order]
+
+
+label_text = st.text(alphabet=st.sampled_from(list("aZ9 &<>,\"'_-")), min_size=1,
+                     max_size=6)
+
+
+class TestRenderOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 80).flatmap(lambda n: st.tuples(
+        st.integers(0, 2**32 - 1), st.lists(label_text, min_size=n, max_size=n))))
+    def test_matches_per_cell_oracle(self, case):
+        seed, labels = case
+        tree = random_merge_tree(len(labels), np.random.default_rng(seed))
+        assert_render_matches_oracle(HCTree(tuple(labels), tree.merges))
+
+    def test_two_leaves(self):
+        assert_render_matches_oracle(HCTree(("a&b", "<c>"), ((2, 0, 1, 1.0),)))
+
+    def test_balanced_tree(self):
+        merges = [(8 + k, 2 * k, 2 * k + 1, 1.0) for k in range(4)]
+        merges += [(12, 8, 9, 2.0), (13, 10, 11, 2.0), (14, 12, 13, 3.0)]
+        tree = HCTree(tuple(f"u{i}" for i in range(8)), tuple(merges))
+        assert sorted(leaf_codes(tree).codes) == [f"{i:03b}" for i in range(8)]
+        assert_render_matches_oracle(tree)
+
+    def test_caterpillar_has_the_deepest_codes(self):
+        n = 300
+        merges = [(n, 0, 1, 1.0)]
+        merges += [(n + k - 1, n + k - 2, k, float(k)) for k in range(2, n)]
+        tree = HCTree(tuple(f"u{i}" for i in range(n)), tuple(merges))
+        assert len(leaf_codes(tree).codes[0]) == n - 1
+        assert_render_matches_oracle(tree)

@@ -12,6 +12,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +74,18 @@ class TestWard:
         labels = [f"u{i}" for i in range(x.shape[0])]
         assert ward_outcome(hcluster_ward, x, labels) == \
             ward_outcome(oracle_hcluster_ward, x, labels)
+
+    @pytest.mark.parametrize("n", [64, 65, 128, 150])
+    def test_matches_oracle_across_row_blocks(self, n):
+        # d2 is built 64 rows at a time; these sizes end on, just past and
+        # between block edges
+        rng = np.random.default_rng(n)
+        ties = rng.integers(0, 4, (n // 3, 8))[rng.integers(0, n // 3, n)].astype(float)
+        wide = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-6, 7, 5)
+        for x in (ties, wide):
+            labels = [f"u{i}" for i in range(n)]
+            assert ward_outcome(hcluster_ward, x, labels) == \
+                ward_outcome(oracle_hcluster_ward, x, labels)
 
     def test_rounding_inversion_warns_as_the_oracle_does(self):
         # an equilateral triangle: the second merge is as high as the first

@@ -666,3 +666,15 @@ def test_dot_graph_ids_are_valid(synthetic_dir, tmp_path):
     for path in dots:
         graph_id = path.read_text().splitlines()[0].split()[1]
         assert re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", graph_id), (path.name, graph_id)
+
+
+def test_too_few_ward_rows_names_the_clustering(synthetic_dir, tmp_path):
+    config = _copy_run(synthetic_dir, tmp_path, "cases.csv")
+    data = yaml.safe_load(config.read_text())
+    data["window"] = {"start": START, "end": START + dt.timedelta(days=80)}
+    data["clusterings"].append({"name": "late", "columns": ["right90"]})
+    config.write_text(yaml.safe_dump(data))
+    assert CliRunner().invoke(main, ["features", "--config", str(config)]).exit_code == 0
+    res = CliRunner().invoke(main, ["cluster", "--config", str(config)])
+    assert res.exit_code == 4, res.output
+    assert "late: need at least 2 complete rows, got 0" in res.output
