@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import infotheory
 from .errors import ComputationError
 from .infotheory import _conditional_entropies, _dense, entropy
 
@@ -134,37 +135,46 @@ def scan_order2(
     return scan(y, candidates, 2)[1]
 
 
-def noise_threshold(
-    y: Sequence[int],
-    existing: Sequence[Sequence[int]],
-    candidate: Sequence[int],
-    replicates: int = 200,
-    seed: int = 0,
-) -> NullDropStats:
-    """Permutation-null stats for the drop contributed by a candidate.
+def permutation_orders(seed: int, replicates: int, n: int) -> np.ndarray:
+    """(replicates, n) null row orders in the smallest unsigned dtype holding n - 1:
+    ``column[orders[r]]`` is ``default_rng([seed, r]).permutation(column)``."""
+    orders = np.empty((replicates, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    for r in range(replicates):
+        orders[r] = np.random.default_rng([seed, r]).permutation(n)
+    return orders
 
-    Each replicate shuffles the candidate column with its own rng
-    derived from (seed, replicate index), so results do not depend on
-    evaluation order; all replicates are then counted in batches.
-    """
+
+def noise_thresholds(y: Sequence[int], existing: Sequence[Sequence[int]],
+                     candidates: Sequence[Sequence[int]], replicates: int,
+                     seeds: Sequence[int], orders: dict) -> list[NullDropStats]:
+    """Permutation-null stats of the drop each candidate contributes: replicate r of
+    the candidate with seed s shuffles it by row r of ``orders[(s, replicates)]``, drawn
+    into ``orders`` when absent; counted about BATCH_CELLS cells at a time."""
     if replicates < 1:
         raise ComputationError("replicates must be >= 1")
-    y, columns = _encode(y, list(existing) + [candidate])
-    e = len(columns) - 1
-    base = (float(_conditional_entropies(y, columns, [range(e)])[0]) if e
+    y, columns = _encode(y, list(existing) + list(candidates))
+    e = len(existing)
+    base = (float(_conditional_entropies(y, columns[:e], [range(e)])[0]) if e
             else _marginal_entropy(y))
-    perms = [np.random.default_rng([seed, r]).permutation(columns[e])
-             for r in range(replicates)]
-    sets = np.column_stack([np.tile(np.arange(e), (replicates, 1)),
-                            e + np.arange(replicates)])
-    drops = base - _conditional_entropies(y, np.vstack([columns[:e], *perms]), sets)
-    return NullDropStats(
-        replicates=replicates,
-        mean=float(drops.mean()),
-        sd=float(drops.std()),
-        q95=float(np.percentile(drops, 95)),
-        seed=seed,
-    )
+    orders.update({(s, replicates): permutation_orders(s, replicates, y.size)
+                   for s in seeds if (s, replicates) not in orders})
+    drops = np.empty((len(candidates), replicates))
+    step = max(1, infotheory.BATCH_CELLS // max(y.size, 1))
+    for lo in range(0, drops.size, step):
+        c, r = np.divmod(np.arange(lo, min(lo + step, drops.size)), replicates)
+        rows = np.concatenate([orders[(seeds[i], replicates)][r[c == i]] for i in np.unique(c)])
+        sets = np.column_stack([np.tile(np.arange(e), (len(c), 1)), e + np.arange(len(c))])
+        drops.flat[lo:lo + len(c)] = base - _conditional_entropies(
+            y, np.vstack([columns[:e], columns[e + c[:, None], rows]]), sets)
+    stats = zip(drops.mean(axis=1).tolist(), drops.std(axis=1).tolist(),
+                np.percentile(drops, 95, axis=1).tolist(), seeds)
+    return [NullDropStats(replicates, mean, sd, q95, s) for mean, sd, q95, s in stats]
+
+
+def noise_threshold(y: Sequence[int], existing: Sequence[Sequence[int]], candidate: Sequence[int],
+                    replicates: int = 200, seed: int = 0) -> NullDropStats:
+    """Permutation-null stats for the drop contributed by one candidate."""
+    return noise_thresholds(y, existing, [candidate], replicates, [seed], {})[0]
 
 
 def classify_pair(

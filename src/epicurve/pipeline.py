@@ -136,17 +136,19 @@ def _float(value) -> float:
     return float(value)
 
 
-def _list_of(convert, least: int = 0):
+def _list_of(convert, least: int = 0, unique: bool = False):
     def convert_list(value):
         if not isinstance(value, (list, tuple)) or len(value) < least:
             raise TypeError("not a list of enough items")
+        if unique and len(set(value)) < len(value):
+            raise ValueError("repeated item")
         return tuple(convert(v) for v in value)
     return convert_list
 
 
 #: Converter of a spec field by the text of its annotation (annotations are
-#: postponed in this module); a list of column names is never empty.
-_CONVERTERS = {"str": str, "int": _int, "tuple[str, ...]": _list_of(str, least=1)}
+#: postponed in this module); a list of column names is non-empty, no repeats.
+_CONVERTERS = {"str": str, "int": _int, "tuple[str, ...]": _list_of(str, least=1, unique=True)}
 
 
 def _spec(cls, section: str, mapping: dict):
@@ -287,8 +289,14 @@ def load_config(path: str) -> PipelineConfig:
 def _write(cfg: PipelineConfig, name: str, text: str) -> str:
     os.makedirs(cfg.output, exist_ok=True)
     path = os.path.join(cfg.output, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    tmp = os.path.join(cfg.output, f".{name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path
 
 
@@ -501,20 +509,17 @@ def _response_column(name, units, cat_columns, meta) -> np.ndarray:
     return np.array(out)
 
 
-def _scan_response(spec: ResponseSpec, units, cat_columns, meta):
+def _scan_response(spec: ResponseSpec, units, cat_columns, meta, orders: dict):
     """Run the order-1/2/3 scans plus nulls and classification for one response."""
     y = _response_column(spec.response, units, cat_columns, meta)
     candidates = {c: _column("candidate", c, cat_columns) for c in spec.candidates}
 
     scan1, scan2, scan3 = (major_factor.scan(y, candidates, spec.order)
                            + [[]] * (3 - spec.order))
-    nulls = {
-        name: major_factor.noise_threshold(
-            y, [], candidates[name],
-            replicates=spec.replicates, seed=spec.seed + idx,
-        )
-        for idx, name in enumerate(sorted(candidates))
-    }
+    names = sorted(candidates)
+    nulls = dict(zip(names, major_factor.noise_thresholds(
+        y, [], [candidates[c] for c in names], spec.replicates,
+        range(spec.seed, spec.seed + len(names)), orders)))
     annotated1 = []
     for r in scan1:
         sig = r.ce_drop > nulls[r.feature_names[0]].q95 + major_factor.EPS
@@ -567,9 +572,13 @@ def stage_select(cfg: PipelineConfig) -> list[str]:
 
     meta = (parse_unit_metadata(cfg.metadata)
             if any(s.response in META_RESPONSES for s in cfg.responses) else {})
-    written = []
-    for spec in cfg.responses:
-        scan1, scan2, scan3, nulls = _scan_response(spec, units, cat_columns, meta)
+    # null row orders by (seed, replicates), each dropped after its last use
+    last_use = {(spec.seed + i, spec.replicates): k for k, spec in enumerate(cfg.responses)
+                for i in range(len(spec.candidates))}
+    orders, written = {}, []
+    for k, spec in enumerate(cfg.responses):
+        scan1, scan2, scan3, nulls = _scan_response(spec, units, cat_columns, meta, orders)
+        orders = {key: v for key, v in orders.items() if last_use[key] > k}
         written.append(_write_csv(
             cfg, f"scan_{spec.response}.csv",
             SCAN_COLUMNS,

@@ -23,10 +23,12 @@ from epicurve.infotheory import (
     ROWS_GIVEN_COLS,
     ContingencyTable,
     DegenerateColumnWarning,
+    _conditional_entropies,
     entropy,
     rescaled_ce,
 )
 from epicurve.ingest import RateSeries, RawSeries, UnitMeta, window_slice
+from epicurve.major_factor import NullDropStats, _encode, _marginal_entropy
 
 START = dt.date(2022, 3, 25)
 END = dt.date(2022, 8, 19)
@@ -252,6 +254,31 @@ def oracle_joint_conditional_entropy(y, cols) -> float:
         nk = sum(counts)
         h += (nk / n) * entropy(counts)
     return h
+
+
+def oracle_noise_threshold(y, existing, candidate, replicates: int = 200,
+                           seed: int = 0) -> NullDropStats:
+    """Permutation-null stats for one candidate, drawing replicate r as
+    ``default_rng([seed, r]).permutation`` of the column and counting all
+    replicates in one kernel call."""
+    if replicates < 1:
+        raise ComputationError("replicates must be >= 1")
+    y, columns = _encode(y, list(existing) + [candidate])
+    e = len(columns) - 1
+    base = (float(_conditional_entropies(y, columns, [range(e)])[0]) if e
+            else _marginal_entropy(y))
+    perms = [np.random.default_rng([seed, r]).permutation(columns[e])
+             for r in range(replicates)]
+    sets = np.column_stack([np.tile(np.arange(e), (replicates, 1)),
+                            e + np.arange(replicates)])
+    drops = base - _conditional_entropies(y, np.vstack([columns[:e], *perms]), sets)
+    return NullDropStats(
+        replicates=replicates,
+        mean=float(drops.mean()),
+        sd=float(drops.std()),
+        q95=float(np.percentile(drops, 95)),
+        seed=seed,
+    )
 
 
 def oracle_network_dot(names, matrix, tau: float, directed: bool, name: str) -> str:

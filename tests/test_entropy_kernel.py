@@ -10,10 +10,11 @@ from math import comb
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicurve import infotheory
+from epicurve import infotheory, major_factor
 from epicurve.infotheory import (
     _conditional_entropies,
     _dense,
@@ -25,6 +26,8 @@ from epicurve.major_factor import (
     _marginal_entropy,
     joint_conditional_entropy,
     noise_threshold,
+    noise_thresholds,
+    permutation_orders,
     scan,
 )
 
@@ -33,6 +36,7 @@ from helpers import (
     oracle_conditional_entropy,
     oracle_contingency,
     oracle_joint_conditional_entropy,
+    oracle_noise_threshold,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -195,3 +199,85 @@ class TestNoiseThreshold:
         assert stats.mean == float(drops.mean())
         assert stats.sd == float(drops.std())
         assert stats.q95 == float(np.percentile(drops, 95))
+
+
+@st.composite
+def null_cases(draw):
+    """(y, existing, candidates, replicates, seeds) of one noise_thresholds
+    call: 0-2 existing and 1-6 candidate columns, seeds that may repeat."""
+    n = draw(st.integers(1, 40))
+
+    def column(max_label):
+        return np.array(draw(st.lists(st.integers(0, max_label), min_size=n, max_size=n)))
+
+    y = column(draw(st.integers(0, 5)))
+    existing = [column(draw(st.integers(0, 4))) for _ in range(draw(st.integers(0, 2)))]
+    candidates = [column(draw(st.integers(0, 5))) for _ in range(draw(st.integers(1, 6)))]
+    seeds = draw(st.lists(st.integers(0, 6), min_size=len(candidates),
+                          max_size=len(candidates)))
+    return y, existing, candidates, draw(st.integers(1, 30)), seeds
+
+
+def null_bits(stats):
+    """Each NullDropStats as its ints and the float.hex of its floats."""
+    return [(x.replicates, x.seed, *hexes([x.mean, x.sd, x.q95])) for x in stats]
+
+
+class TestBatchedNulls:
+    @settings(max_examples=60, deadline=None)
+    @given(null_cases(), st.integers(-3, 3))
+    def test_matches_the_one_candidate_oracle(self, case, shift):
+        """Two calls sharing one dict of orders, the second with its seeds
+        shifted so that they overlap the first's, at every batch size."""
+        y, existing, candidates, replicates, seeds = case
+        shifted = [max(0, s + shift) for s in seeds]
+        want = [null_bits(oracle_noise_threshold(y, existing, c, replicates, s)
+                          for c, s in zip(candidates, call_seeds))
+                for call_seeds in (seeds, shifted)]
+        for cells in (1, 7, 1 << 30):
+            orders = {}
+            with with_batch_cells(cells):
+                got = [null_bits(noise_thresholds(y, existing, candidates, replicates,
+                                                  call_seeds, orders))
+                       for call_seeds in (seeds, shifted)]
+            assert got == want
+            assert set(orders) == {(s, replicates) for s in seeds + shifted}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 300))
+    def test_orders_are_the_replicate_permutations(self, seed, replicates, n):
+        column = np.arange(n) * 7 % 11 - 3
+        orders = permutation_orders(seed, replicates, n)
+        assert orders.shape == (replicates, n)
+        assert orders.dtype == (np.uint8 if n <= 256 else np.uint16)
+        for r in range(replicates):
+            assert np.array_equal(column[orders[r]],
+                                  np.random.default_rng([seed, r]).permutation(column))
+
+    def test_one_unit(self):
+        orders = permutation_orders(5, 3, 1)
+        assert orders.tolist() == [[0], [0], [0]] and orders.dtype == np.uint8
+        assert np.array_equal(np.array([4])[orders[2]],
+                              np.random.default_rng([5, 2]).permutation(np.array([4])))
+
+    @pytest.mark.parametrize("cells", [1, 7, 100, 1 << 14])
+    def test_no_kernel_call_exceeds_one_batch(self, cells):
+        rng = np.random.default_rng(8)
+        n, replicates = 30, 20
+        y = rng.integers(0, 3, size=n)
+        existing = [rng.integers(0, 2, size=n)]
+        candidates = [rng.integers(0, 4, size=n) for _ in range(5)]
+        seeds = [3, 4, 4, 9, 3]
+        shuffled_rows = []
+
+        def spy(y, columns, sets, *args, **kwargs):
+            shuffled_rows.append(len(columns) - len(existing))
+            return _conditional_entropies(y, columns, sets, *args, **kwargs)
+
+        with with_batch_cells(cells), mock.patch.object(
+                major_factor, "_conditional_entropies", spy):
+            got = noise_thresholds(y, existing, candidates, replicates, seeds, {})
+        assert null_bits(got) == null_bits(oracle_noise_threshold(y, existing, c, replicates, s)
+                                           for c, s in zip(candidates, seeds))
+        assert max(shuffled_rows) <= max(1, cells // n)
+        assert sum(shuffled_rows) == len(candidates) * replicates

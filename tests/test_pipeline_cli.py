@@ -4,17 +4,19 @@ import hashlib
 import os
 import re
 import shutil
+from unittest import mock
 from xml.etree import ElementTree
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from epicurve import pipeline
+from epicurve import major_factor, pipeline
 from epicurve.cli import main
+from epicurve.curve_features import SHAPE_FEATURES
 from epicurve.errors import ConfigError
 
-from helpers import START, base_config
+from helpers import START, base_config, oracle_noise_threshold
 
 
 def digest_dir(path):
@@ -346,6 +348,18 @@ def _response_own_candidate(d):
     d["responses"][0]["response"] = "left80"
 
 
+def _repeated_candidate(d):
+    d["responses"][0]["candidates"] = ["left80", "left80", "right50"]
+
+
+def _repeated_fusion_column(d):
+    d["fusions"][0]["columns"] = ["left30", "left30", "left40"]
+
+
+def _repeated_clustering_column(d):
+    d["clusterings"][0]["columns"] = ["left90", "left80", "left90"]
+
+
 INVALID_CONFIGS = [
     (_restarts_zero, "restarts must be >= 1"),
     (_replicates_zero, "replicates must be >= 1"),
@@ -380,6 +394,9 @@ INVALID_CONFIGS = [
     (_rate_scale_bool, "config: bad rate_scale True"),
     (_threshold_bool, "config: bad thresholds [True]"),
     (_response_own_candidate, "response left80: a response cannot be its own candidate"),
+    (_repeated_candidate, "responses[0]: bad candidates ['left80', 'left80', 'right50']"),
+    (_repeated_fusion_column, "fusions[0]: bad columns ['left30', 'left30', 'left40']"),
+    (_repeated_clustering_column, "clusterings[0]: bad columns ['left90', 'left80', 'left90']"),
 ]
 
 
@@ -678,3 +695,67 @@ def test_too_few_ward_rows_names_the_clustering(synthetic_dir, tmp_path):
     res = CliRunner().invoke(main, ["cluster", "--config", str(config)])
     assert res.exit_code == 4, res.output
     assert "late: need at least 2 complete rows, got 0" in res.output
+
+
+def test_select_draws_each_null_order_once(synthetic_dir, tmp_path):
+    """Two responses over the same 20 candidates with seeds 5 and 7 use null
+    seeds 5..24 and 7..26: 22 distinct draws, and the scans are those of a
+    run that draws every candidate's null on its own."""
+    data = base_config(synthetic_dir)
+    data["cases"] = str(synthetic_dir / "cases.csv")
+    data["metadata"] = str(synthetic_dir / "meta.csv")
+    candidates = ["peakdate", *SHAPE_FEATURES, "left30to70"]
+    assert len(candidates) == 20
+    data["responses"] = [
+        {"response": response, "candidates": candidates, "order": 2,
+         "replicates": 30, "seed": seed, "top": 3, "bottom": 1}
+        for response, seed in (("region", 5), ("status", 7))]
+    data["clusterings"] = []
+
+    def oracle_noise_thresholds(y, existing, candidates, replicates, seeds, orders):
+        return [oracle_noise_threshold(y, existing, c, replicates, s)
+                for c, s in zip(candidates, seeds)]
+
+    held = []  # seeds of the orders held when each response's nulls start
+
+    def noise_thresholds(y, existing, candidates, replicates, seeds, orders):
+        held.append(sorted(seed for seed, _ in orders))
+        return batched(y, existing, candidates, replicates, seeds, orders)
+
+    batched = major_factor.noise_thresholds
+    scans = {}
+    for run in ("batched", "oracle"):
+        cfg = pipeline.config_from_dict({**data, "output": str(tmp_path / run)})
+        if run == "batched":
+            with mock.patch.object(major_factor, "permutation_orders",
+                                   wraps=major_factor.permutation_orders) as draws, \
+                    mock.patch.object(major_factor, "noise_thresholds", noise_thresholds):
+                pipeline.run_pipeline(cfg)
+            assert draws.call_count == 22
+            assert sorted(c.args[0] for c in draws.call_args_list) == list(range(5, 27))
+            # seeds 5 and 6 were dropped after the first response, their last use
+            assert held == [[], list(range(7, 25))]
+        else:
+            with mock.patch.object(major_factor, "noise_thresholds", oracle_noise_thresholds):
+                pipeline.run_pipeline(cfg)
+        scans[run] = {name: (tmp_path / run / name).read_bytes()
+                      for name in ("scan_region.csv", "scan_status.csv")}
+    assert scans["batched"] == scans["oracle"]
+
+
+@pytest.mark.parametrize("failure", ["encode", "replace"])
+def test_failed_write_keeps_the_earlier_artifact(tmp_path, failure):
+    cfg = pipeline.PipelineConfig(cases="cases.csv", metadata="meta.csv",
+                                  output=str(tmp_path / "out"))
+    path = pipeline._write(cfg, "scan_region.csv", "earlier\n")
+    if failure == "encode":
+        # the lone surrogate cannot be encoded, so the write raises partway
+        with pytest.raises(UnicodeEncodeError):
+            pipeline._write(cfg, "scan_region.csv", "later\n" * 10_000 + "\udc80")
+    else:
+        with mock.patch.object(pipeline.os, "replace", side_effect=OSError("disk full")), \
+                pytest.raises(OSError, match="disk full"):
+            pipeline._write(cfg, "scan_region.csv", "later\n")
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "earlier\n"
+    assert os.listdir(cfg.output) == ["scan_region.csv"]
