@@ -7,6 +7,9 @@ Usage::
 
 Subcommands run one stage each (``features``, ``associate``, ``select``,
 ``fuse``, ``cluster``, ``report``) or the whole pipeline (``all``).
+``report`` recomputes the order-1/2 scans from the inputs ``select`` reads
+and rewrites the ranked reports, so with no ``--top``/``--bottom`` its
+bytes are those ``select`` wrote.
 Exit codes: 0 success, 2 config/validation error, 3 data error,
 4 computation error.
 """
@@ -81,7 +84,8 @@ _stage_command("cluster", pipeline.stage_cluster,
                "Build Ward.D2 trees, leaf codes, and similarity heatmaps.")
 
 
-@main.command(help="Re-render ranked reports from existing scan CSVs.")
+@main.command(help="Rewrite the ranked reports, recomputing the order-1/2 scans "
+                   "from the inputs `select` reads (categorical.csv, fused.csv, metadata).")
 @config_opt
 @out_opt
 @click.option("--top", type=click.IntRange(min=0), default=None,

@@ -3,9 +3,11 @@ fusion -> clustering artifacts.
 
 Every stage reads its inputs from the raw files or the previous stage's
 artifacts in the output directory, so running stages individually in
-order is byte-identical to running everything at once. All randomness
-flows from seeds in the config; rerunning with identical inputs and
-config reproduces every artifact bit for bit.
+order is byte-identical to running everything at once. ``report`` reads
+what ``select`` reads and recomputes the order-1/2 scans, so it rewrites
+the reports ``select`` wrote byte for byte; it never parses a scan CSV.
+All randomness flows from seeds in the config; rerunning with identical
+inputs and config reproduces every artifact bit for bit.
 """
 
 from __future__ import annotations
@@ -77,12 +79,6 @@ class PipelineConfig:
     fusions: tuple[FusionSpec, ...] = ()
     responses: tuple[ResponseSpec, ...] = ()
     clusterings: tuple[ClusteringSpec, ...] = ()
-
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["window"] = {"start": data.pop("window_start"),
-                          "end": data.pop("window_end")}
-        return data
 
 
 def _as_date(value, what: str) -> dt.date:
@@ -198,9 +194,13 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
 
     thresholds = _field("config", data, "thresholds", _list_of(_float),
                         PipelineConfig.thresholds)
-    for t in thresholds:
+    for i, t in enumerate(thresholds):
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"threshold {t} outside [0, 1]")
+        same = [u for u in thresholds[:i] if f"{u:g}" == f"{t:g}"]
+        if same:
+            raise ConfigError(f"thresholds {same[0]} and {t} both name "
+                              f"network_<kind>_{t:g}.dot")
 
     n_bins = _field("config", data, "n_bins", _int, PipelineConfig.n_bins)
     if n_bins < 2:
@@ -333,27 +333,21 @@ def _write_matrix(cfg: PipelineConfig, name: str, corner: str, header, labels,
                        for label, row in zip(labels, rows)))
 
 
-def _read_artifact(path: str, required):
-    """(header, rows) of a CSV artifact whose header holds ``required`` and
-    whose rows all have the header's width; blank lines are skipped."""
+def _read_table(path: str, columns, parse):
+    """(unit_ids, {column: array}) of a _write_table CSV, ``parse(column, text)``
+    reading each cell of ``columns`` (None: every column but unit_id). The
+    header must hold the columns and every row its width; blank lines are skipped."""
     with _open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None) or []
         rows = [row for row in reader if row]
-    missing = [c for c in required if c not in header]
+    missing = [c for c in ["unit_id", *(columns or ())] if c not in header]
     if missing:
         raise DataError(f"{path}: header lacks {', '.join(missing)}")
     for row_no, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise DataError(f"{path}: row {row_no} has {len(row)} cells, "
                             f"expected {len(header)}")
-    return header, rows
-
-
-def _read_table(path: str, columns, parse):
-    """(unit_ids, {column: array}) of a _write_table CSV, ``parse(column, text)``
-    reading each cell of ``columns`` (None: every column but unit_id)."""
-    header, rows = _read_artifact(path, ["unit_id", *(columns or ())])
     index = {c: i for i, c in enumerate(header)}
     cols = [(c, index[c], []) for c in columns or index if c != "unit_id"]
     units = []
@@ -509,11 +503,28 @@ def _response_column(name, units, cat_columns, meta) -> np.ndarray:
     return np.array(out)
 
 
-def _scan_response(spec: ResponseSpec, units, cat_columns, meta, orders: dict):
-    """Run the order-1/2/3 scans plus nulls and classification for one response."""
-    y = _response_column(spec.response, units, cat_columns, meta)
-    candidates = {c: _column("candidate", c, cat_columns) for c in spec.candidates}
+def _scan_inputs(cfg: PipelineConfig):
+    """(spec, response codes, {candidate: codes}) of each configured response, the
+    inputs select and report scan: categorical.csv, fused.csv when fusions are
+    configured, and the metadata for a region or status response."""
+    cat_path = _require(cfg, "categorical.csv", "associate")
+    units, cat_columns = read_categorical_csv(cat_path)
+    if cfg.fusions:
+        fused_path = _require(cfg, "fused.csv", "fuse")
+        f_units, f_columns = read_categorical_csv(fused_path)
+        if f_units != units:
+            raise DataError("fused.csv and categorical.csv disagree on units")
+        cat_columns.update(f_columns)
 
+    meta = (parse_unit_metadata(cfg.metadata)
+            if any(s.response in META_RESPONSES for s in cfg.responses) else {})
+    for spec in cfg.responses:
+        yield (spec, _response_column(spec.response, units, cat_columns, meta),
+               {c: _column("candidate", c, cat_columns) for c in spec.candidates})
+
+
+def _scan_response(spec: ResponseSpec, y, candidates, orders: dict):
+    """Run the order-1/2/3 scans plus nulls and classification for one response."""
     scan1, scan2, scan3 = (major_factor.scan(y, candidates, spec.order)
                            + [[]] * (3 - spec.order))
     names = sorted(candidates)
@@ -561,23 +572,12 @@ def _scan_rows(scans, nulls):
 
 def stage_select(cfg: PipelineConfig) -> list[str]:
     """Run major-factor scans for each configured response."""
-    cat_path = _require(cfg, "categorical.csv", "associate")
-    units, cat_columns = read_categorical_csv(cat_path)
-    if cfg.fusions:
-        fused_path = _require(cfg, "fused.csv", "fuse")
-        f_units, f_columns = read_categorical_csv(fused_path)
-        if f_units != units:
-            raise DataError("fused.csv and categorical.csv disagree on units")
-        cat_columns.update(f_columns)
-
-    meta = (parse_unit_metadata(cfg.metadata)
-            if any(s.response in META_RESPONSES for s in cfg.responses) else {})
     # null row orders by (seed, replicates), each dropped after its last use
     last_use = {(spec.seed + i, spec.replicates): k for k, spec in enumerate(cfg.responses)
                 for i in range(len(spec.candidates))}
     orders, written = {}, []
-    for k, spec in enumerate(cfg.responses):
-        scan1, scan2, scan3, nulls = _scan_response(spec, units, cat_columns, meta, orders)
+    for k, (spec, y, candidates) in enumerate(_scan_inputs(cfg)):
+        scan1, scan2, scan3, nulls = _scan_response(spec, y, candidates, orders)
         orders = {key: v for key, v in orders.items() if last_use[key] > k}
         written.append(_write_csv(
             cfg, f"scan_{spec.response}.csv",
@@ -626,56 +626,13 @@ def stage_cluster(cfg: PipelineConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # stage: report
 
-def _split_features(cell: str, candidates) -> tuple[str, ...]:
-    """Read a ``_``-joined scan ``features`` cell back as candidate names."""
-    def reads(tokens):
-        if not tokens:
-            yield ()
-        for j in range(1, len(tokens) + 1):
-            if (head := "_".join(tokens[:j])) in candidates:
-                yield from ((head,) + rest for rest in reads(tokens[j:]))
-
-    found = list(reads(cell.split("_")))
-    if len(found) != 1:
-        raise DataError(f"{'ambiguous' if found else 'unknown'} feature set "
-                        f"{cell!r} in the scan CSV")
-    return found[0]
-
-
-def read_scan_csv(path: str, candidates):
-    """Read a scan CSV back into (order-1 results, order-2 results); feature
-    names, which may contain ``_``, are matched against ``candidates``."""
-    header, rows = _read_artifact(path, SCAN_COLUMNS)
-    scan1, scan2 = [], []
-    for row_no, cells in enumerate(rows, start=2):
-        row = dict(zip(header, cells))
-        names = _split_features(row["features"], candidates)
-        values = {}
-        try:
-            for c in ("ce", "rescaled_ce", "ce_drop", "sce_drop"):
-                values[c] = float(row[c])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_no}: unparseable {c} {row[c]!r}") from exc
-        r = major_factor.FeatureSetResult(
-            feature_names=names,
-            **values,
-            significant=(row["significant"] == "true") if row["significant"] else None,
-            classification=row["classification"] or None,
-        )
-        if len(names) == 1:
-            scan1.append(r)
-        elif len(names) == 2:
-            scan2.append(r)
-    return scan1, scan2
-
-
 def stage_report(cfg: PipelineConfig, top: Optional[int] = None,
                  bottom: Optional[int] = None) -> list[str]:
-    """Re-render ranked reports from existing scan CSVs."""
+    """Re-render ranked reports from the order-1/2 scans, recomputed from the
+    inputs select reads; a report shows no null, so none is drawn."""
     written = []
-    for spec in cfg.responses:
-        path = _require(cfg, f"scan_{spec.response}.csv", "select")
-        scan1, scan2 = read_scan_csv(path, spec.candidates)
+    for spec, y, candidates in _scan_inputs(cfg):
+        scan1, scan2 = (major_factor.scan(y, candidates, min(spec.order, 2)) + [[]])[:2]
         written.extend(_write_reports(
             cfg, spec.response, scan1, scan2,
             spec.top if top is None else top,

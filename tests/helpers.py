@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import io
 import math
@@ -178,6 +179,14 @@ def base_config(dirpath, out_name: str = "out") -> dict:
                          "left50", "left40", "left30", "left20"]},
         ],
     }
+
+
+def config_to_dict(cfg) -> dict:
+    """The plain mapping of a PipelineConfig that config_from_dict reads back."""
+    data = dataclasses.asdict(cfg)
+    data["window"] = {"start": data.pop("window_start"),
+                      "end": data.pop("window_end")}
+    return data
 
 
 def random_merge_tree(n_leaves: int, rng: np.random.Generator):

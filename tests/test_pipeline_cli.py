@@ -7,6 +7,7 @@ import shutil
 from unittest import mock
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -16,7 +17,7 @@ from epicurve.cli import main
 from epicurve.curve_features import SHAPE_FEATURES
 from epicurve.errors import ConfigError
 
-from helpers import START, base_config, oracle_noise_threshold
+from helpers import START, base_config, config_to_dict, oracle_noise_threshold
 
 
 def digest_dir(path):
@@ -39,7 +40,7 @@ class TestConfig:
     def test_round_trip(self, cfg, tmp_path):
         p = tmp_path / "again.yaml"
         with open(p, "w") as fh:
-            yaml.safe_dump(cfg.to_dict(), fh)
+            yaml.safe_dump(config_to_dict(cfg), fh)
         again = pipeline.load_config(str(p))
         assert again == cfg
 
@@ -360,6 +361,14 @@ def _repeated_clustering_column(d):
     d["clusterings"][0]["columns"] = ["left90", "left80", "left90"]
 
 
+def _thresholds_equal(d):
+    d["thresholds"] = [0.6, 0.6]
+
+
+def _thresholds_print_alike(d):
+    d["thresholds"] = [0.6, 0.6000001]
+
+
 INVALID_CONFIGS = [
     (_restarts_zero, "restarts must be >= 1"),
     (_replicates_zero, "replicates must be >= 1"),
@@ -397,6 +406,9 @@ INVALID_CONFIGS = [
     (_repeated_candidate, "responses[0]: bad candidates ['left80', 'left80', 'right50']"),
     (_repeated_fusion_column, "fusions[0]: bad columns ['left30', 'left30', 'left40']"),
     (_repeated_clustering_column, "clusterings[0]: bad columns ['left90', 'left80', 'left90']"),
+    (_thresholds_equal, "thresholds 0.6 and 0.6 both name network_<kind>_0.6.dot"),
+    (_thresholds_print_alike,
+     "thresholds 0.6 and 0.6000001 both name network_<kind>_0.6.dot"),
 ]
 
 
@@ -452,17 +464,44 @@ class TestReportRoundTrip:
         for ext in ("txt", "md"):
             assert (out / f"report_region.{ext}").read_bytes() == written[ext]
 
-    def test_ambiguous_features_cell_is_a_data_error(self, tmp_path):
-        from epicurve.errors import DataError
+    def test_fusion_named_like_two_candidates(self, synthetic_dir, tmp_path):
+        data = base_config(synthetic_dir)
+        data["cases"] = str(synthetic_dir / "cases.csv")
+        data["metadata"] = str(synthetic_dir / "meta.csv")
+        data["fusions"][0]["name"] = "left80_right50"
+        data["responses"][0]["candidates"] = ["left80_right50", "left80", "right50",
+                                              "peakvalue"]
+        p = tmp_path / "joined.yaml"
+        p.write_text(yaml.safe_dump(data))
+        out = tmp_path / "o"
+        runner = CliRunner()
+        res = runner.invoke(main, ["all", "--config", str(p), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        written = {ext: (out / f"report_region.{ext}").read_bytes() for ext in ("txt", "md")}
+        res = runner.invoke(main, ["report", "--config", str(p), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        for ext in ("txt", "md"):
+            assert (out / f"report_region.{ext}").read_bytes() == written[ext]
 
-        path = tmp_path / "scan.csv"
-        path.write_text("features,ce,rescaled_ce,ce_drop,sce_drop,null_mean,"
-                        "null_q95,significant,classification\n"
-                        "a_b,0.1,0.1,0.1,0.1,,,,\n")
-        with pytest.raises(DataError, match="ambiguous"):
-            pipeline.read_scan_csv(str(path), ["a", "b", "a_b"])
-        with pytest.raises(DataError, match="unknown"):
-            pipeline.read_scan_csv(str(path), ["a", "c"])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_report_rewrites_select_bytes(self, tmp_path, seed):
+        """select renders reports from full floats; report must match them to the
+        byte, not round the 6-decimal scan CSV a second time."""
+        rng = np.random.default_rng(seed)
+        candidates = ("peak", "left20", "left50", "left80", "right50", "right80")
+        cfg = pipeline.PipelineConfig(
+            cases="unused", metadata="unused", output=str(tmp_path),
+            responses=(pipeline.ResponseSpec("peakvalue", candidates, order=2,
+                                             replicates=10),))
+        units = [f"u{i:02d}" for i in range(40)]
+        pipeline._write_table(cfg, "categorical.csv", units,
+                              {c: rng.integers(0, 4, 40)
+                               for c in ("peakvalue",) + candidates})
+        pipeline.stage_select(cfg)
+        paths = [tmp_path / f"report_peakvalue.{ext}" for ext in ("txt", "md")]
+        written = [p.read_bytes() for p in paths]
+        assert pipeline.stage_report(cfg) == [str(p) for p in paths]
+        assert [p.read_bytes() for p in paths] == written
 
 
 def _drop_count_cell(text):
@@ -528,10 +567,10 @@ CORRUPT_INPUTS = [
      r"categorical.csv: row 21 has \d+ cells, expected 20"),
     ("select", "out/categorical.csv", _bad_second_cell,
      "categorical.csv: row 4: unparseable peakdate 'x"),
-    ("report", "out/scan_region.csv", _truncated_mid_row,
-     r"scan_region.csv: row 11 has \d+ cells, expected 9"),
-    ("report", "out/scan_region.csv", _bad_second_cell,
-     "scan_region.csv: row 4: unparseable ce 'x"),
+    ("report", "out/categorical.csv", _truncated_mid_row,
+     r"categorical.csv: row 21 has \d+ cells, expected 20"),
+    ("report", "out/categorical.csv", _bad_second_cell,
+     "categorical.csv: row 4: unparseable peakdate 'x"),
 ]
 
 
