@@ -73,46 +73,86 @@ class LeafCodes:
     leaf_order: tuple[int, ...]  # left-to-right traversal order
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
-    for i in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centroids[i] = x[rng.integers(n)]
-        else:
-            centroids[i] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((x - centroids[i]) ** 2, axis=1))
-    return centroids
-
-
 #: Lloyd iterations per K-means restart.
 _MAX_ITER = 300
 
+#: Cells (restarts x rows x max(k, columns)) the K-means kernel holds per
+#: block of restarts; bounds its working memory whatever the restart count.
+KMEANS_CELLS = 1 << 16
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray):
-    k = centroids.shape[0]
-    labels = np.full(x.shape[0], -1)
-    for _ in range(_MAX_ITER):
-        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        if np.array_equal(new_labels, labels):
+
+def _sq_dist(xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(R, k, n) squared distances of the columns of ``xt`` (d, n) to
+    ``centroids`` (R, k, d), the d terms added in the order of numpy's
+    last-axis ``sum``: in sequence below 8 terms, else as eight interleaved
+    partial sums combined pairwise, then the rest in sequence."""
+    def term(j):
+        t = xt[j] - centroids[:, :, j, None]
+        return np.square(t, out=t)
+
+    d = len(xt)
+    terms = map(term, range(d))
+    if d < 8:
+        out = next(terms)
+    else:
+        part = [next(terms) for _ in range(8)]
+        for j in range(8, d - d % 8):
+            part[j % 8] += next(terms)
+        out = (((part[0] + part[1]) + (part[2] + part[3]))
+               + ((part[4] + part[5]) + (part[6] + part[7])))
+    for t in terms:
+        out += t
+    return out
+
+
+def _kmeans_block(x: np.ndarray, k: int, rngs: list):
+    """k-means++ seeding and Lloyd for one generator per restart, the
+    restarts in lockstep until each one's labels repeat (or ``_MAX_ITER``).
+    Returns labels (R, n), centroids (R, k, d) and inertias (R,)."""
+    (n, d), xt = x.shape, np.ascontiguousarray(x.T)
+    centroids = np.empty((len(rngs), k, d))
+    centroids[:, 0] = x[[rng.integers(n) for rng in rngs]]
+    d2 = _sq_dist(xt, centroids[:, :1])[:, 0]
+    for i in range(1, k):
+        total = d2.sum(axis=1)
+        p = np.divide(d2, total[:, None], out=np.zeros_like(d2), where=total[:, None] > 0)
+        centroids[:, i] = x[[rng.integers(n) if t <= 0 else rng.choice(n, p=row)
+                             for rng, t, row in zip(rngs, total, p)]]
+        d2 = np.minimum(d2, _sq_dist(xt, centroids[:, i:i + 1])[:, 0])
+
+    final = np.empty((len(rngs), n), dtype=int)
+    inertia = np.empty(len(rngs))
+    live = np.arange(len(rngs))
+    labels = np.full((len(rngs), n), -1)
+    weights = np.tile(x.ravel(), len(rngs))  # x once per restart, for the bincount
+    for it in range(_MAX_ITER + 1):
+        d2 = _sq_dist(xt, centroids[live])
+        new = np.zeros_like(labels)
+        nearest = d2[:, 0].copy()
+        for c in range(1, k):  # argmin over the clusters: the first nearest wins
+            new[d2[:, c] < nearest] = c
+            np.minimum(nearest, d2[:, c], out=nearest)
+        done = (new == labels).all(axis=1) | (it == _MAX_ITER)
+        final[live[done]] = new[done]
+        inertia[live[done]] = nearest[done].sum(axis=1)
+        live, labels, nearest = live[~done], new[~done], nearest[~done]
+        if not live.size:
             break
-        labels = new_labels
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centroids[c] = x[mask].mean(axis=0)
-            else:
-                # re-seed an empty cluster at the point worst served so far
-                worst = int(np.argmax(d2[np.arange(len(labels)), labels]))
-                centroids[c] = x[worst]
-    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(len(labels)), labels].sum())
-    return labels, centroids, inertia
+        # every centroid sum from one bincount keyed on (restart, cluster,
+        # column), which adds the rows in order as mean(axis=0) does
+        cell = labels + k * np.arange(live.size)[:, None]
+        counts = np.bincount(cell.ravel(), minlength=live.size * k).reshape(-1, k)
+        sums = np.bincount((cell[..., None] * d + np.arange(d)).ravel(),
+                           weights[:cell.size * d], live.size * k * d)
+        means = sums.reshape(-1, k, d) / np.maximum(counts, 1)[..., None]
+        if d == 1:  # numpy sums a single column pairwise, not in row order
+            for r, c in zip(*np.nonzero(counts)):
+                means[r, c] = x[labels[r] == c].mean(axis=0)
+        # re-seed an empty cluster at the point worst served so far
+        r, c = np.nonzero(counts == 0)
+        means[r, c] = x[nearest.argmax(axis=1)[r]]
+        centroids[live] = means
+    return final, centroids, inertia
 
 
 def kmeans_fuse(
@@ -142,37 +182,34 @@ def kmeans_fuse(
     sd[sd == 0] = 1.0
     xs = (x - mean) / sd
 
+    block = max(1, KMEANS_CELLS // (len(xs) * max(k, xs.shape[1])))
     best = None
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        centroids = _kmeans_pp_init(xs, k, rng)
-        labels, centroids, inertia = _lloyd(xs, centroids)
-        if best is None or inertia < best[2] - 1e-12:
-            best = (labels, centroids, inertia)
+    for lo in range(0, restarts, block):
+        rngs = [np.random.default_rng([seed, r]) for r in range(lo, min(lo + block, restarts))]
+        for fit in zip(*_kmeans_block(xs, k, rngs)):
+            if best is None or fit[2] < best[2] - 1e-12:
+                best = fit
     labels, centroids, inertia = best
 
-    # renumber clusters by first appearance so the labeling is canonical
-    remap: dict[int, int] = {}
-    for lab in labels:
-        if int(lab) not in remap:
-            remap[int(lab)] = len(remap) + 1
-    for c in range(k):
-        if c not in remap:
-            remap[c] = len(remap) + 1
-    new_labels = np.array([remap[int(l)] for l in labels])
-    order = sorted(range(k), key=lambda c: remap[c])
-    centroids = centroids[order]
+    # renumber clusters by first appearance so the labeling is canonical;
+    # clusters that hold no row follow in index order
+    first = np.full(k, len(labels))
+    seen, at = np.unique(labels, return_index=True)
+    first[seen] = at
+    order = np.argsort(first, kind="stable")
+    remap = np.empty(k, dtype=int)
+    remap[order] = np.arange(1, k + 1)
 
     full = np.zeros(matrix.shape[0], dtype=int)
-    full[complete] = new_labels
+    full[complete] = remap[labels]
     return FusedFeature(
         name=name,
         source_columns=tuple(column_names),
         k=k,
         labels=full,
-        centroids=centroids,
+        centroids=centroids[order],
         seed=seed,
-        inertia=inertia,
+        inertia=float(inertia),
     )
 
 

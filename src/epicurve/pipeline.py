@@ -287,13 +287,15 @@ def load_config(path: str) -> PipelineConfig:
 # artifact helpers
 
 def _write(cfg: PipelineConfig, name: str, text: str) -> str:
-    os.makedirs(cfg.output, exist_ok=True)
     path = os.path.join(cfg.output, name)
     tmp = os.path.join(cfg.output, f".{name}.tmp")
     try:
+        os.makedirs(cfg.output, exist_ok=True)
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -663,3 +663,79 @@ def oracle_similarity_svg(codes) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def oracle_kmeans_fuse(matrix, column_names, name, k=4, seed=0, restarts=100):
+    """K-means fusion one restart at a time: k-means++ seeding and Lloyd
+    (at most ``cluster_fuse._MAX_ITER`` iterations) on the standardized
+    complete rows, the best inertia winning, labels renumbered by first
+    occurrence."""
+    from epicurve import cluster_fuse
+
+    def kmeans_pp_init(x, k, rng):
+        n = x.shape[0]
+        centroids = np.empty((k, x.shape[1]))
+        centroids[0] = x[rng.integers(n)]
+        d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+        for i in range(1, k):
+            total = d2.sum()
+            if total <= 0:
+                centroids[i] = x[rng.integers(n)]
+            else:
+                centroids[i] = x[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, np.sum((x - centroids[i]) ** 2, axis=1))
+        return centroids
+
+    def lloyd(x, centroids):
+        k = centroids.shape[0]
+        labels = np.full(x.shape[0], -1)
+        for _ in range(cluster_fuse._MAX_ITER):
+            d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            new_labels = np.argmin(d2, axis=1)
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for c in range(k):
+                mask = labels == c
+                if mask.any():
+                    centroids[c] = x[mask].mean(axis=0)
+                else:
+                    # re-seed an empty cluster at the point worst served so far
+                    worst = int(np.argmax(d2[np.arange(len(labels)), labels]))
+                    centroids[c] = x[worst]
+        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        inertia = float(d2[np.arange(len(labels)), labels].sum())
+        return labels, centroids, inertia
+
+    matrix = np.asarray(matrix, dtype=float)
+    complete = ~np.isnan(matrix).any(axis=1)
+    x = matrix[complete]
+    if x.shape[0] < k:
+        raise ComputationError(f"{name}: only {x.shape[0]} complete rows for k={k}")
+    mean = x.mean(axis=0)
+    sd = x.std(axis=0)
+    sd[sd == 0] = 1.0
+    xs = (x - mean) / sd
+
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        labels, centroids, inertia = lloyd(xs, kmeans_pp_init(xs, k, rng))
+        if best is None or inertia < best[2] - 1e-12:
+            best = (labels, centroids, inertia)
+    labels, centroids, inertia = best
+
+    remap: dict[int, int] = {}
+    for lab in labels:
+        if int(lab) not in remap:
+            remap[int(lab)] = len(remap) + 1
+    for c in range(k):
+        if c not in remap:
+            remap[c] = len(remap) + 1
+    full = np.zeros(matrix.shape[0], dtype=int)
+    full[complete] = [remap[int(lab)] for lab in labels]
+    return cluster_fuse.FusedFeature(
+        name=name, source_columns=tuple(column_names), k=k, labels=full,
+        centroids=centroids[sorted(range(k), key=lambda c: remap[c])],
+        seed=seed, inertia=inertia)

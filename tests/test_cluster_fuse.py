@@ -1,4 +1,5 @@
 from itertools import zip_longest
+from unittest import mock
 from xml.etree import ElementTree
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epicurve import cluster_fuse
 from epicurve.cluster_fuse import (
     HCTree,
     hcluster_ward,
@@ -19,6 +21,7 @@ from epicurve.cluster_fuse import (
 from epicurve.errors import ComputationError
 from helpers import (
     naive_ward_reference,
+    oracle_kmeans_fuse,
     oracle_leaf_codes,
     oracle_similarity_csv,
     oracle_similarity_svg,
@@ -84,6 +87,83 @@ class TestKmeansFuse:
         a = kmeans_fuse(pts, ["x", "y"], "f", k=4, seed=4, restarts=10)
         b = kmeans_fuse(pts * 37.5, ["x", "y"], "f", k=4, seed=4, restarts=10)
         assert np.array_equal(a.labels, b.labels)
+
+
+def assert_kmeans_matches_oracle(matrix, k, seed, restarts):
+    """Labels, centroid bytes and the inertia's bits equal the one restart
+    at a time form."""
+    names = [f"c{j}" for j in range(matrix.shape[1])]
+    got = kmeans_fuse(matrix, names, "f", k=k, seed=seed, restarts=restarts)
+    want = oracle_kmeans_fuse(matrix, names, "f", k=k, seed=seed, restarts=restarts)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.labels.dtype == want.labels.dtype
+    assert got.centroids.shape == want.centroids.shape
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert float.hex(got.inertia) == float.hex(want.inertia)
+    return got
+
+
+@st.composite
+def fusion_inputs(draw):
+    """(matrix, k, seed, restarts): 1-20 columns of tie-heavy integers 0-3,
+    duplicated rows or normals at column scales 1e-6 to 1e6, with a few NA rows."""
+    d, k = draw(st.integers(1, 20)), draw(st.integers(1, 6))
+    n, na_rows = draw(st.integers(k, 60)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ties", "duplicates", "scaled"]))
+    if kind == "ties":
+        x = rng.integers(0, 4, (n, d)).astype(float)
+    elif kind == "duplicates":
+        x = rng.standard_normal((max(1, n // 3), d))[rng.integers(0, max(1, n // 3), n)]
+    else:
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-6, 6, d)
+    na = rng.standard_normal((na_rows, d))
+    na[np.arange(na_rows), rng.integers(0, d, na_rows)] = np.nan
+    matrix = np.vstack([x, na])[rng.permutation(n + na_rows)]
+    return matrix, k, draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 25))
+
+
+@pytest.mark.filterwarnings("error")
+class TestKmeansOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(fusion_inputs(), st.sampled_from([1, 500, cluster_fuse.KMEANS_CELLS]))
+    def test_matches_one_restart_at_a_time(self, case, cells):
+        # a small cell cap splits the restarts into blocks, the last one partial
+        with mock.patch.object(cluster_fuse, "KMEANS_CELLS", cells):
+            assert_kmeans_matches_oracle(*case)
+
+    @pytest.mark.parametrize("n, d, k, restarts", [(1000, 5, 4, 30), (5000, 5, 4, 5)])
+    def test_large_cohorts(self, n, d, k, restarts):
+        rng = np.random.default_rng(n)
+        assert_kmeans_matches_oracle(rng.standard_normal((n, d)), k, 11, restarts)
+
+    def test_one_restart_per_block(self):
+        # 5000 rows x 14 columns exceed the cell cap on their own
+        assert cluster_fuse.KMEANS_CELLS // (5000 * 14) == 0
+        x = np.random.default_rng(2).integers(0, 4, (5000, 14)).astype(float)
+        assert_kmeans_matches_oracle(x, 6, 3, 3)
+
+    def test_identical_rows(self):
+        # every k-means++ draw after the first sees a total of 0
+        fused = assert_kmeans_matches_oracle(np.full((12, 3), 2.5), 4, 0, 7)
+        assert set(fused.labels) == {1}
+
+    def test_empty_clusters_are_reseeded(self):
+        # 4 distinct rows for k = 5: seeding repeats a row, a repeated
+        # centroid's cluster is empty after the first assignment, and where
+        # it is re-seeded decides the final centroids
+        base = np.array([[5.0, 5.0], [2.0, 3.0], [6.0, 0.0], [1.0, 3.0]])
+        x = base[[0, 2, 2, 1, 0, 3, 0, 1, 3, 0, 0, 0, 3]]
+        fused = assert_kmeans_matches_oracle(x, 5, 0, 1)
+        assert set(fused.labels) == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_lloyd_stopped_before_convergence(self, monkeypatch, max_iter):
+        x = np.random.default_rng(9).standard_normal((300, 4))
+        full = kmeans_fuse(x, list("abcd"), "f", k=6, seed=1, restarts=12)
+        monkeypatch.setattr(cluster_fuse, "_MAX_ITER", max_iter)
+        stopped = assert_kmeans_matches_oracle(x, 6, 1, 12)
+        assert stopped.inertia > full.inertia
 
 
 class TestHclusterWard:

@@ -793,8 +793,22 @@ def test_failed_write_keeps_the_earlier_artifact(tmp_path, failure):
             pipeline._write(cfg, "scan_region.csv", "later\n" * 10_000 + "\udc80")
     else:
         with mock.patch.object(pipeline.os, "replace", side_effect=OSError("disk full")), \
-                pytest.raises(OSError, match="disk full"):
+                pytest.raises(ConfigError, match=f"^cannot write {re.escape(path)}: disk full$"):
             pipeline._write(cfg, "scan_region.csv", "later\n")
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "earlier\n"
     assert os.listdir(cfg.output) == ["scan_region.csv"]
+
+
+@pytest.mark.parametrize("blocker", ["file", "parent_file"])
+def test_unwritable_output_is_a_config_error(synthetic_dir, tmp_path, blocker):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    if blocker == "parent_file":
+        out = out / "out"
+    res = CliRunner().invoke(main, ["features", "--config",
+                                    str(synthetic_dir / "config.yaml"), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith(f"config error: cannot write {out / 'features.csv'}: ")
+    assert res.output.count("\n") == 1 and "Traceback" not in res.output
+    assert (tmp_path / "taken").read_text() == "not a directory\n"
