@@ -15,30 +15,15 @@ import contextlib
 import csv
 import datetime as dt
 from dataclasses import dataclass
-from typing import Optional
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import DataError
 
 REGIONS = ("North", "South")
 STATUSES = ("Urban", "Suburban")
-
-@dataclass(frozen=True)
-class RawSeries:
-    """Consecutive daily case counts for one unit."""
-
-    unit_id: str
-    start_date: dt.date
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) < 1:
-            raise DataError(f"{self.unit_id}: empty count series")
-        if min(self.counts) < 0:
-            raise DataError(f"{self.unit_id}: negative count")
-
-    @property
-    def end_date(self) -> dt.date:
-        return self.start_date + dt.timedelta(days=len(self.counts) - 1)
 
 
 @dataclass(frozen=True)
@@ -88,30 +73,92 @@ def _open_input(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_date(text: str, row_no: int) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError as exc:
-        raise DataError(f"row {row_no}: unparseable date {text!r}") from exc
-
-
 CASE_COLUMNS = ("unit_id", "date", "count")
 META_COLUMNS = ("unit_id", "city_code", "district_letter", "age_group",
                 "population", "region", "status")
 
 
-def parse_case_series(path) -> dict[str, RawSeries]:
-    """Read a case CSV into one RawSeries per unit.
+class CaseCounts(NamedTuple):
+    """Daily case counts of the units of a case CSV, in first-appearance order."""
 
-    Rows for a unit may appear in any order but must cover consecutive
-    days exactly once. Errors report the offending row number; blank
-    lines are skipped and not numbered.
+    unit_ids: list[str]
+    start_ordinals: np.ndarray  # day ordinal of each unit's first day
+    lengths: np.ndarray  # days of data of each unit
+    counts: np.ndarray  # units × max(lengths), int64; 0 past a unit's last day
+
+    def values(self):
+        """Per unit, an object whose ``counts`` are its days, as in a
+        ``{unit: series}`` mapping; bench/tracer.py counts rows through it."""
+        return (SimpleNamespace(counts=row[:n])
+                for row, n in zip(self.counts, self.lengths.tolist()))
+
+
+def _drain(codes: list[int]) -> np.ndarray:
+    """``codes`` as an int64 array, emptied to free its memory."""
+    out = np.array(codes, dtype=np.int64)
+    codes.clear()
+    return out
+
+
+def _duplicate(unit_ids: list[str], units, days) -> Optional[DataError]:
+    """The error of the first row, in file order, whose unit and day an
+    earlier row has, or None."""
+    u, d = np.asarray(units, dtype=np.int64), np.asarray(days, dtype=np.int64)
+    key = u * (d.max(initial=0) + 1) + d
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if not repeats.size:
+        return None
+    i = repeats.min()
+    return DataError(f"row {i + 2}: duplicate ({unit_ids[u[i]]}, "
+                     f"{dt.date.fromordinal(int(d[i]))})")
+
+
+def parse_case_series(path) -> CaseCounts:
+    """Read a case CSV into one units × days count matrix.
+
+    One csv.reader pass keeps the unit, day ordinal and count of each row,
+    looked up by raw cell text, so each distinct text is parsed and checked
+    once; array code then finds duplicates and gaps. Rows may come in any
+    order but must cover each unit's consecutive days once. Errors are
+    those of a row-by-row check, naming the first bad row (blank lines are
+    not numbered); gaps come last, by unit in first-appearance order.
     """
-    per_unit: dict[str, dict[int, int]] = {}
-    # Cells are looked up by their raw text, so each distinct unit and
-    # date text is stripped and parsed once.
-    units: dict[str, dict[int, int]] = {}
-    ordinals: dict[str, int] = {}
+    names: dict[str, int] = {}  # stripped unit id -> code, in first-appearance order
+    unit_of, day_of, count_of = {}, {}, {}  # raw cell text -> code
+    units, days, counts = [], [], []  # the unit, day and count of each row kept
+
+    def fail(message: str) -> DataError:
+        """The error of the row after those kept, unless one of those repeats."""
+        return (_duplicate(list(names), units, days)
+                or DataError(f"row {len(units) + 2}: {message}"))
+
+    def first_sight(row: list[str]) -> tuple[int, int, int]:
+        """Codes of a row holding a cell text not seen before."""
+        if len(row) < width:
+            raise fail("missing " + ", ".join(c for c in CASE_COLUMNS
+                                              if index[c] >= len(row)))
+        unit, date, count = row[i_unit], row[i_date], row[i_count]
+        if unit not in unit_of:
+            if not unit.strip():
+                raise fail("empty unit_id")
+            unit_of[unit] = names.setdefault(unit.strip(), len(names))
+        if date not in day_of:
+            try:
+                day_of[date] = dt.date.fromisoformat(date.strip()).toordinal()
+            except ValueError as exc:
+                raise fail(f"unparseable date {date.strip()!r}") from exc
+        if count not in count_of:
+            try:
+                count_of[count] = int(count)
+            except ValueError as exc:
+                raise fail(f"unparseable count {count!r}") from exc
+            if count_of[count] < 0:
+                raise fail(f"negative count for {unit.strip()}")
+            if count_of[count] > 2**63 - 1:  # the count matrix is int64
+                raise fail("count too large")
+        return unit_of[unit], day_of[date], count_of[count]
+
     with _open_input(path) as fh:
         reader = csv.reader(fh)
         # a repeated column name resolves to its last copy, as in csv.DictReader
@@ -120,47 +167,36 @@ def parse_case_series(path) -> dict[str, RawSeries]:
             raise DataError(f"{path}: expected header unit_id,date,count")
         i_unit, i_date, i_count = (index[c] for c in CASE_COLUMNS)
         width = max(i_unit, i_date, i_count) + 1
-        row_no = 1
+        add_unit, add_day, add_count = units.append, days.append, counts.append
         for row in reader:
-            if not row:
-                continue
-            row_no += 1
-            if len(row) < width:
-                missing = [c for c in CASE_COLUMNS if index[c] >= len(row)]
-                raise DataError(f"row {row_no}: missing {', '.join(missing)}")
-            days = units.get(row[i_unit])
-            if days is None:
-                unit = row[i_unit].strip()
-                if not unit:
-                    raise DataError(f"row {row_no}: empty unit_id")
-                days = units[row[i_unit]] = per_unit.setdefault(unit, {})
-            day = ordinals.get(row[i_date])
-            if day is None:
-                day = _parse_date(row[i_date].strip(), row_no).toordinal()
-                ordinals[row[i_date]] = day
-            try:
-                count = int(row[i_count])
-            except ValueError as exc:
-                raise DataError(
-                    f"row {row_no}: unparseable count {row[i_count]!r}"
-                ) from exc
-            if count < 0:
-                raise DataError(f"row {row_no}: negative count for {row[i_unit].strip()}")
-            if day in days:
-                raise DataError(f"row {row_no}: duplicate ({row[i_unit].strip()}, "
-                                f"{dt.date.fromordinal(day)})")
-            days[day] = count
+            if row:
+                try:
+                    u, d, c = unit_of[row[i_unit]], day_of[row[i_date]], count_of[row[i_count]]
+                except (IndexError, KeyError):
+                    u, d, c = first_sight(row)
+                add_unit(u)
+                add_day(d)
+                add_count(c)
 
-    out: dict[str, RawSeries] = {}
-    for unit, days in per_unit.items():
-        first, last = min(days), max(days)
-        start = dt.date.fromordinal(first)
-        if last - first + 1 != len(days):
-            raise DataError(f"{unit}: gap in day axis between {start} "
-                            f"and {dt.date.fromordinal(last)}")
-        counts = tuple(map(days.__getitem__, range(first, last + 1)))
-        out[unit] = RawSeries(unit_id=unit, start_date=start, counts=counts)
-    return out
+    unit_ids = list(names)
+    u, d, c = map(_drain, (units, days, counts))  # one list at a time
+    span = d.max(initial=0) + 1
+    keys = np.sort(u * span + d)  # by unit, then day
+    if (keys[1:] == keys[:-1]).any():
+        raise _duplicate(unit_ids, u, d)
+    lengths = np.bincount(u, minlength=len(unit_ids))
+    ends = np.cumsum(lengths)
+    starts, lasts = keys[ends - lengths] % span, keys[ends - 1] % span
+    gaps = np.flatnonzero(lasts - starts + 1 != lengths).tolist()
+    if gaps:
+        raise DataError(f"{unit_ids[gaps[0]]}: gap in day axis between "
+                        f"{dt.date.fromordinal(starts[gaps[0]])} and "
+                        f"{dt.date.fromordinal(lasts[gaps[0]])}")
+    del keys  # so it is not live at the matrix fill, the parse's peak memory
+    d -= starts[u]  # each row's column in the matrix
+    matrix = np.zeros((len(unit_ids), lengths.max(initial=0)), dtype=np.int64)
+    matrix[u, d] = c
+    return CaseCounts(unit_ids, starts, lengths, matrix)
 
 
 def parse_unit_metadata(path) -> dict[str, UnitMeta]:
@@ -201,17 +237,4 @@ def parse_unit_metadata(path) -> dict[str, UnitMeta]:
             except DataError as exc:
                 raise DataError(f"row {row_no}: {exc}") from exc
     return out
-
-
-def window_slice(series, start: dt.date, end: dt.date) -> slice:
-    """Index range of the days [start, end] in a RawSeries or RateSeries."""
-    if start > end:
-        raise DataError(f"window start {start} after end {end}")
-    if start < series.start_date or end > series.end_date:
-        raise DataError(
-            f"{series.unit_id}: window [{start}, {end}] outside data "
-            f"[{series.start_date}, {series.end_date}]"
-        )
-    i = (start - series.start_date).days
-    return slice(i, i + (end - start).days + 1)
 

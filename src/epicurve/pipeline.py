@@ -29,7 +29,7 @@ import yaml
 from . import cluster_fuse, curve_features, infotheory, major_factor
 from .curve_features import FEATURE_COLUMNS, SHAPE_FEATURES
 from .errors import ComputationError, ConfigError, DataError
-from .ingest import _open_input, parse_case_series, parse_unit_metadata, window_slice
+from .ingest import _open_input, parse_case_series, parse_unit_metadata
 
 #: Metadata-derived binary response columns and their category coding.
 META_RESPONSES = {
@@ -286,11 +286,19 @@ def load_config(path: str) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # artifact helpers
 
+def _make_output(cfg: PipelineConfig, name: str) -> None:
+    """Create the output directory, or fail as writing artifact ``name`` there would."""
+    try:
+        os.makedirs(cfg.output, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {os.path.join(cfg.output, name)}: {exc}") from exc
+
+
 def _write(cfg: PipelineConfig, name: str, text: str) -> str:
+    _make_output(cfg, name)
     path = os.path.join(cfg.output, name)
     tmp = os.path.join(cfg.output, f".{name}.tmp")
     try:
-        os.makedirs(cfg.output, exist_ok=True)
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -317,12 +325,10 @@ def _write_csv(cfg: PipelineConfig, name: str, header, rows) -> str:
     return _write(cfg, name, buf.getvalue())
 
 
-def _write_table(cfg: PipelineConfig, name: str, units, columns: dict,
-                 cell=lambda column, value: value) -> str:
-    """Write a ``{column: array}`` table as a CSV with one row per unit;
-    ``cell(column, value)`` gives the cell of each value."""
-    cells = [[cell(c, v) for v in values.tolist()] for c, values in columns.items()]
-    return _write_csv(cfg, name, ["unit_id", *columns], zip(units, *cells))
+def _write_table(cfg: PipelineConfig, name: str, units, columns: dict) -> str:
+    """Write a ``{column: array}`` table as a CSV with one row per unit."""
+    return _write_csv(cfg, name, ["unit_id", *columns],
+                      zip(units, *(values.tolist() for values in columns.values())))
 
 
 def _write_matrix(cfg: PipelineConfig, name: str, corner: str, header, labels,
@@ -376,6 +382,16 @@ def _feature_cell(column: str, value: float) -> str:
     return str(int(value)) if value.is_integer() else f"{value:.6f}"
 
 
+def _feature_cells(column: str, values: np.ndarray) -> np.ndarray:
+    """_feature_cell of each value of a float64 column, called once per
+    distinct value; values are told apart by their bits, so -0.0 and NaN
+    keep their own cells."""
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    return np.array([_feature_cell(column, v) for v in values[first].tolist()],
+                    dtype=object)[inverse]
+
+
 def _feature_value(column: str, text: str) -> float:
     """Inverse of _feature_cell: an empty cell is NaN, any other must be finite."""
     if column == "peakdate":
@@ -389,27 +405,39 @@ def _feature_value(column: str, text: str) -> float:
 def stage_features(cfg: PipelineConfig) -> str:
     """Parse raw inputs and write the per-unit feature CSV.
 
-    The window's counts of every unit form one units × days matrix, so
-    rates, smoothing and crossings run over whole arrays.
+    The window's counts of every unit, in sorted unit order, are cut out
+    of the parsed count matrix with one fancy index, so rates, smoothing
+    and crossings run over whole arrays.
     """
-    series = parse_case_series(cfg.cases)
+    _make_output(cfg, "features.csv")
+    unit_ids, starts, lengths, case_counts = parse_case_series(cfg.cases)
     meta = parse_unit_metadata(cfg.metadata)
-    units = sorted(series)
+    order = np.array(sorted(range(len(unit_ids)), key=unit_ids.__getitem__), dtype=np.intp)
+    units = [unit_ids[i] for i in order]
     days = (cfg.window_end - cfg.window_start).days + 1
-    # a reversed window is reported by window_slice below
-    counts = np.empty((len(units), max(days, 0)), dtype=np.int64)
-    population = np.empty(len(units), dtype=np.int64)
-    for i, unit in enumerate(units):
-        if unit not in meta:
-            raise DataError(f"{unit}: case data without metadata")
-        s = series[unit]
-        counts[i] = s.counts[window_slice(s, cfg.window_start, cfg.window_end)]
-        population[i] = meta[unit].population
+    offsets = cfg.window_start.toordinal() - starts[order]
+    missing = np.array([unit not in meta for unit in units], dtype=bool)
+    # the first unit lacking metadata or data over the window is reported,
+    # its metadata first; a reversed window fails every unit
+    bad = missing | (days < 1) | (offsets < 0) | (offsets + days > lengths[order])
+    if bad.any():
+        i = int(bad.argmax())
+        if missing[i]:
+            raise DataError(f"{units[i]}: case data without metadata")
+        if days < 1:
+            raise DataError(f"window start {cfg.window_start} after end {cfg.window_end}")
+        first = dt.date.fromordinal(int(starts[order[i]]))
+        last = first + dt.timedelta(days=int(lengths[order[i]]) - 1)
+        raise DataError(f"{units[i]}: window [{cfg.window_start}, {cfg.window_end}] "
+                        f"outside data [{first}, {last}]")
+    counts = case_counts[order[:, None], offsets[:, None] + np.arange(max(days, 0))]
+    population = np.array([meta[unit].population for unit in units], dtype=np.int64)
     rates = counts / population[:, None] * cfg.rate_scale
     smoothed = curve_features.smooth_rows(units, rates)
     table = curve_features.extract_features_batch(
         units, cfg.window_start + dt.timedelta(days=6), smoothed)
-    return _write_table(cfg, "features.csv", units, table, _feature_cell)
+    return _write_table(cfg, "features.csv", units,
+                        {c: _feature_cells(c, values) for c, values in table.items()})
 
 
 def read_features_csv(path: str):

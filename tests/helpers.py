@@ -28,11 +28,49 @@ from epicurve.infotheory import (
     entropy,
     rescaled_ce,
 )
-from epicurve.ingest import RateSeries, RawSeries, UnitMeta, window_slice
+from epicurve.ingest import CaseCounts, RateSeries, UnitMeta
 from epicurve.major_factor import NullDropStats, _encode, _marginal_entropy
 
 START = dt.date(2022, 3, 25)
 END = dt.date(2022, 8, 19)
+
+
+@dataclasses.dataclass(frozen=True)
+class RawSeries:
+    """Consecutive daily case counts for one unit."""
+
+    unit_id: str
+    start_date: dt.date
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.counts) < 1:
+            raise DataError(f"{self.unit_id}: empty count series")
+        if min(self.counts) < 0:
+            raise DataError(f"{self.unit_id}: negative count")
+
+    @property
+    def end_date(self) -> dt.date:
+        return self.start_date + dt.timedelta(days=len(self.counts) - 1)
+
+
+def case_series(parsed: CaseCounts) -> dict[str, RawSeries]:
+    """``{unit: RawSeries}`` of a parse_case_series result, units in its order."""
+    return {unit: RawSeries(unit, dt.date.fromordinal(int(start)), tuple(row[:n].tolist()))
+            for unit, start, n, row in zip(*parsed)}
+
+
+def window_slice(series, start: dt.date, end: dt.date) -> slice:
+    """Index range of the days [start, end] in a RawSeries or RateSeries."""
+    if start > end:
+        raise DataError(f"window start {start} after end {end}")
+    if start < series.start_date or end > series.end_date:
+        raise DataError(
+            f"{series.unit_id}: window [{start}, {end}] outside data "
+            f"[{series.start_date}, {series.end_date}]"
+        )
+    i = (start - series.start_date).days
+    return slice(i, i + (end - start).days + 1)
 
 
 def write_case_series(path, series: dict[str, RawSeries]) -> None:
@@ -459,6 +497,8 @@ def oracle_parse_case_series(path) -> dict[str, RawSeries]:
                     f"row {row_no}: unparseable count {row['count']!r}") from exc
             if count < 0:
                 raise DataError(f"row {row_no}: negative count for {unit}")
+            if count > 2**63 - 1:
+                raise DataError(f"row {row_no}: count too large")
             days = per_unit.setdefault(unit, {})
             if day in days:
                 raise DataError(f"row {row_no}: duplicate ({unit}, {day})")

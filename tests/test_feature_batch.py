@@ -35,6 +35,7 @@ from epicurve.errors import ComputationError, DataError
 from epicurve.ingest import RateSeries, parse_case_series, parse_unit_metadata
 
 from helpers import (
+    case_series,
     compute_daily_rates,
     oracle_extract_features,
     oracle_feature_line,
@@ -248,7 +249,7 @@ def test_stage_features_matches_per_unit_path(synthetic_dir, tmp_path, monkeypat
                         lambda units, rates: matrices.append(rates) or smooth_rows(units, rates))
     path = pipeline.stage_features(cfg)
 
-    series = parse_case_series(cfg.cases)
+    series = case_series(parse_case_series(cfg.cases))
     meta = parse_unit_metadata(cfg.metadata)
     lines = ["unit_id," + ",".join(FEATURE_COLUMNS)]
     for i, unit in enumerate(sorted(series)):
@@ -268,6 +269,76 @@ def test_stage_features_reports_a_reversed_window(synthetic_dir, tmp_path):
         pipeline.stage_features(cfg)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), blanks=st.integers(0, 6), trim=st.integers(0, 3))
+def test_stage_features_ignores_row_order_and_blank_lines(synthetic_dir, tmp_path_factory,
+                                                          seed, blanks, trim):
+    """features.csv from a cases.csv whose data rows are shuffled, with
+    blank lines added, has the bytes of the in-order file's."""
+    tmp = tmp_path_factory.mktemp("shuffled")
+    cfg = pipeline.load_config(str(synthetic_dir / "config.yaml"))
+    cfg = dataclasses.replace(cfg, window_start=cfg.window_start + dt.timedelta(days=trim))
+    header, *rows = (synthetic_dir / "cases.csv").read_text().splitlines()
+    rng = np.random.default_rng(seed)
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    for at in rng.integers(0, len(rows) + 1, blanks):
+        rows.insert(at, "")
+    (tmp / "cases.csv").write_text("\n".join([header, *rows]) + "\n")
+    written = {}
+    for name, cases in (("in_order", cfg.cases), ("shuffled", str(tmp / "cases.csv"))):
+        out = dataclasses.replace(cfg, cases=cases, output=str(tmp / name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with open(pipeline.stage_features(out), "rb") as fh:
+                written[name] = fh.read()
+    assert written["shuffled"] == written["in_order"]
+
+
+#: Days of data of each unit (first day, last day), in file order: TPc is
+#: first in the file and last in sorted order.
+SPANS = {"TPc": ("2022-03-20", "2022-05-10"), "KSa": ("2022-03-20", "2022-05-10"),
+         "NTb": ("2022-03-20", "2022-05-10")}
+
+
+@pytest.mark.parametrize("spans, without_meta, window, message", [
+    ({"NTb": ("2022-03-27", "2022-05-10")}, ["TPc"], None,
+     r"NTb: window \[2022-03-25, 2022-04-30\] outside data \[2022-03-27, 2022-05-10\]"),
+    ({"NTb": ("2022-03-20", "2022-04-29")}, ["KSa"], None,
+     "KSa: case data without metadata"),
+    ({"NTb": ("2022-03-20", "2022-04-29")}, ["NTb"], None, "NTb: case data without metadata"),
+    ({"KSa": ("2022-03-20", "2022-04-29")}, ["NTb"], None,
+     r"KSa: window \[2022-03-25, 2022-04-30\] outside data \[2022-03-20, 2022-04-29\]"),
+    ({}, ["KSa"], ("2022-04-30", "2022-03-25"), "KSa: case data without metadata"),
+    ({}, ["TPc"], ("2022-04-30", "2022-03-25"),
+     "window start 2022-04-30 after end 2022-03-25"),
+    ({"TPc": ("2022-03-26", "2022-04-30")}, [], ("2022-03-25", "2022-03-25"),
+     r"TPc: window \[2022-03-25, 2022-03-25\] outside data \[2022-03-26, 2022-04-30\]"),
+])
+def test_stage_features_first_unit_error(tmp_path, spans, without_meta, window, message):
+    """In sorted unit order, the first unit without metadata or without
+    data over the window is reported; its metadata is checked first, and
+    a reversed window fails every unit."""
+    with open(tmp_path / "cases.csv", "w") as fh:
+        fh.write("unit_id,date,count\n")
+        for unit, (first, last) in {**SPANS, **spans}.items():
+            day, last = dt.date.fromisoformat(first), dt.date.fromisoformat(last)
+            while day <= last:
+                fh.write(f"{unit},{day},1\n")
+                day += dt.timedelta(days=1)
+    with open(tmp_path / "meta.csv", "w") as fh:
+        fh.write("unit_id,city_code,district_letter,age_group,population,region,status\n")
+        fh.writelines(f"{unit},TP,a,,1000,North,Urban\n" for unit in SPANS
+                      if unit not in without_meta)
+    start, end = window or ("2022-03-25", "2022-04-30")
+    cfg = pipeline.PipelineConfig(cases=str(tmp_path / "cases.csv"),
+                                  metadata=str(tmp_path / "meta.csv"),
+                                  output=str(tmp_path / "out"),
+                                  window_start=dt.date.fromisoformat(start),
+                                  window_end=dt.date.fromisoformat(end))
+    with pytest.raises(DataError, match=f"^{message}$"):
+        pipeline.stage_features(cfg)
+
+
 @pytest.mark.parametrize("trim", [0, 40])  # 40: right crossings censored
 def test_features_csv_reads_back_the_kernel_table(synthetic_dir, tmp_path, monkeypatch,
                                                   trim):
@@ -283,7 +354,7 @@ def test_features_csv_reads_back_the_kernel_table(synthetic_dir, tmp_path, monke
                         or tables[-1])
     units, table = pipeline.read_features_csv(pipeline.stage_features(cfg))
 
-    assert units == sorted(parse_case_series(cfg.cases))
+    assert units == sorted(parse_case_series(cfg.cases).unit_ids)
     assert list(table) == list(tables[0]) == FEATURE_COLUMNS
     for c, want in tables[0].items():
         got = table[c]

@@ -9,13 +9,16 @@ Ward distances decide the merge order written to ``tree_*.csv``, so
 import csv
 import datetime as dt
 import math
+import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epicurve import pipeline
 from epicurve.cluster_fuse import hcluster_ward
 from epicurve.curve_features import FEATURE_COLUMNS
 from epicurve.errors import ComputationError
@@ -25,6 +28,8 @@ from epicurve.pipeline import read_features_csv
 from helpers import oracle_discretize, oracle_hcluster_ward
 
 SETTINGS = settings(max_examples=150, deadline=None)
+#: A quiet NaN with a payload.
+NAN_BITS = 0x7FF8_0000_0000_0123
 
 
 def failed(result):
@@ -182,3 +187,19 @@ class TestReadFeaturesCsv:
                     assert value == float(row[j])
                 else:
                     assert math.isnan(value)
+
+
+class TestFeatureCells:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-7, np.inf, -np.inf, np.nan,
+                                     -np.nan, struct.unpack("<d", struct.pack("<Q", NAN_BITS))[0]]),
+                    max_size=30))
+    def test_each_value_formats_as_itself(self, values):
+        """Values that compare equal but differ in bits (0.0 and -0.0, NaN
+        payloads) keep their own cells: the formatter sees each value's bits."""
+        def cell(column, value):
+            return f"{column}:{struct.pack('<d', value).hex()}"
+
+        with mock.patch.object(pipeline, "_feature_cell", cell):
+            got = pipeline._feature_cells("peak", np.array(values, dtype=float))
+        assert got.tolist() == [cell("peak", v) for v in values]

@@ -1,13 +1,16 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicurve.errors import DataError
-from epicurve.ingest import RawSeries, UnitMeta, parse_case_series, parse_unit_metadata
+from epicurve.ingest import UnitMeta, parse_case_series, parse_unit_metadata
 
 from helpers import (
+    RawSeries,
+    case_series,
     compute_daily_rates,
     oracle_parse_case_series,
     window_clip,
@@ -24,7 +27,7 @@ def write_cases(path, rows):
 def test_parse_case_series_basic(tmp_path):
     p = tmp_path / "c.csv"
     write_cases(p, ["TPa,2022-03-25,1", "TPa,2022-03-26,2", "TPa,2022-03-27,3"])
-    out = parse_case_series(p)
+    out = case_series(parse_case_series(p))
     assert set(out) == {"TPa"}
     assert out["TPa"].counts == (1, 2, 3)
     assert out["TPa"].start_date == D0
@@ -33,7 +36,7 @@ def test_parse_case_series_basic(tmp_path):
 def test_parse_case_series_unordered_rows_ok(tmp_path):
     p = tmp_path / "c.csv"
     write_cases(p, ["TPa,2022-03-26,2", "TPa,2022-03-25,1"])
-    assert parse_case_series(p)["TPa"].counts == (1, 2)
+    assert case_series(parse_case_series(p))["TPa"].counts == (1, 2)
 
 
 def test_parse_case_series_gap(tmp_path):
@@ -67,10 +70,10 @@ def test_parse_case_series_bad_date(tmp_path):
 def test_case_series_round_trip(tmp_path):
     p = tmp_path / "c.csv"
     write_cases(p, ["TPa,2022-03-25,1", "TPa,2022-03-26,0", "NTb,2022-04-01,7"])
-    first = parse_case_series(p)
+    first = case_series(parse_case_series(p))
     q = tmp_path / "again.csv"
     write_case_series(q, first)
-    assert parse_case_series(q) == first
+    assert case_series(parse_case_series(q)) == first
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -87,6 +90,16 @@ def test_case_series_round_trip(tmp_path):
     (["TPa,2022-03-25,1", "", "TPa,2022-03-26"], "row 3: missing count"),
     (["TPa,2022-03-25,1", "NTb,2022-03-25,1", "TPa,2022-03-27,1"],
      "TPa: gap in day axis between 2022-03-25 and 2022-03-27"),
+    (["TPa,2022-03-25,1", "NTb,2022-03-25,1", "NTb,2022-03-27,1", "TPa,2022-03-27,1"],
+     "TPa: gap in day axis between 2022-03-25 and 2022-03-27"),
+    (["TPa,2022-03-25,1", "TPa,2022-03-26,99999999999999999999"], "row 3: count too large"),
+    (["TPa,2022-03-25,9223372036854775808"], "row 2: count too large"),
+    (["TPa,2022-03-25,1", "TPa,2022-03-25,2", "TPa,2022-03-26,x"],
+     r"row 3: duplicate \(TPa, 2022-03-25\)"),
+    (["TPa,2022-03-25,1", "TPa,2022-03-26,x", "TPa,2022-03-25,2"],
+     "row 3: unparseable count 'x'"),
+    (["NTb,2022-03-26,1", "TPa,2022-03-26,1", "NTb,2022-03-25,1", "TPa,2022-03-26,1",
+      "NTb,2022-03-26,1", "TPa,2022-03-27"], r"row 5: duplicate \(TPa, 2022-03-26\)"),
 ])
 def test_parse_case_series_errors_name_the_row(tmp_path, rows, message):
     p = tmp_path / "c.csv"
@@ -98,40 +111,103 @@ def test_parse_case_series_errors_name_the_row(tmp_path, rows, message):
 def test_parse_case_series_strips_cells_and_skips_blank_lines(tmp_path):
     p = tmp_path / "c.csv"
     write_cases(p, ["TPa,2022-03-26, 5", " TPa , 2022-03-25 ,7 ", "", "TPa,2022-03-27,+0"])
-    out = parse_case_series(p)
+    out = case_series(parse_case_series(p))
     assert out == {"TPa": RawSeries("TPa", D0, (7, 5, 0))}
 
 
 def test_parse_case_series_column_order_and_extra_columns(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("count,note,unit_id,date\n2,,TPa,2022-03-26\n1,x,TPa,2022-03-25\n")
-    assert parse_case_series(p) == {"TPa": RawSeries("TPa", D0, (1, 2))}
+    assert case_series(parse_case_series(p)) == {"TPa": RawSeries("TPa", D0, (1, 2))}
 
 
 CELLS = {
-    "unit": st.sampled_from(["TPa", " TPa", "NTb", "NTb ", "", " "]),
+    "unit": st.sampled_from(["TPa", " TPa", "NTb", "NTb ", "KSc", "", " "]),
     "date": st.sampled_from(["2022-03-25", "2022-03-26", " 2022-03-27", "2022-03-28",
-                             "20220326", "2022-3-26", "x"]),
-    "count": st.sampled_from(["0", "3", " 5", "-1", "1.5", "", "x"]),
+                             "2022-03-24", "20220326", "2022-3-26", "x"]),
+    "count": st.sampled_from(["0", "3", " 5", "+0", "1_0", "-1", "1.5", "", "x",
+                              "9223372036854775807", "9223372036854775808",
+                              "99999999999999999999"]),
 }
+BAD_CELLS = ["", " ", "x", "2022-3-26", "-1", "1.5", "99999999999999999999"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.fixed_dictionaries(CELLS), max_size=8),
-       st.sampled_from([["unit_id", "date", "count"], ["date", "count", "unit_id", "x"]]))
-def test_parse_case_series_matches_row_loop_oracle(tmp_path_factory, rows, header):
+@st.composite
+def random_rows(draw):
+    """Rows of cells drawn at random: mostly errors, on any row."""
+    return [[r["unit"], r["date"], r["count"]]
+            for r in draw(st.lists(st.fixed_dictionaries(CELLS), max_size=8))]
+
+
+@st.composite
+def shuffled_series(draw):
+    """Consecutive days of up to four units, interleaved in random order,
+    with spelling variants of valid cells, then perhaps a repeated row, a
+    dropped row and bad cells, anywhere."""
+    rows = []
+    for unit in draw(st.lists(st.sampled_from(["TPa", "NTb", "KSc", "TCd"]),
+                              min_size=1, max_size=4, unique=True)):
+        first = draw(st.integers(0, 3))
+        for day in range(first, first + draw(st.integers(1, 5))):
+            count = draw(st.sampled_from(["0", "3", " 5", "+0", "1_0", "17",
+                                          "9223372036854775807"]))
+            rows.append([draw(st.sampled_from([unit, f" {unit}", f"{unit} "])),
+                         (D0 + dt.timedelta(days=day)).isoformat(), count])
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, 2))] = draw(st.sampled_from(BAD_CELLS))
+    return rows
+
+
+def run_parse(parse, path):
+    """``(unit, RawSeries)`` pairs in the parser's order, or its error message."""
+    try:
+        out = parse(path)
+    except DataError as exc:
+        return str(exc)
+    return list((case_series(out) if parse is parse_case_series else out).items())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(random_rows(), shuffled_series()),
+       st.sampled_from([["unit_id", "date", "count"], ["date", "count", "unit_id", "x"]]),
+       st.lists(st.integers(0, 20), max_size=3))
+def test_parse_case_series_matches_row_loop_oracle(tmp_path_factory, rows, header, blanks):
     p = tmp_path_factory.mktemp("parse") / "c.csv"
-    cell = {"unit_id": "unit", "date": "date", "count": "count", "x": "count"}
-    p.write_text("\n".join([",".join(header)] + [
-        ",".join(r[cell[h]] for h in header) for r in rows]) + "\n")
+    cell = {"unit_id": 0, "date": 1, "count": 2, "x": 2}
+    lines = [",".join(r[cell[h]] for h in header) for r in rows]
+    for at in blanks:
+        lines.insert(min(at, len(lines)), "")
+    p.write_text("\n".join([",".join(header)] + lines) + "\n")
+    assert run_parse(parse_case_series, p) == run_parse(oracle_parse_case_series, p)
 
-    def run(parse):
-        try:
-            return parse(p)
-        except DataError as exc:
-            return str(exc)
 
-    assert run(parse_case_series) == run(oracle_parse_case_series)
+def test_parse_case_series_result_arrays(tmp_path):
+    """Units in order of first appearance, each row of the count matrix
+    holding that unit's days and 0 past its last day, and ``values()``
+    giving each unit's days."""
+    p = tmp_path / "c.csv"
+    write_cases(p, ["NTb,2022-03-27,4", "TPa,2022-03-26,2", "NTb,2022-03-26,3",
+                    "TPa,2022-03-25,1", "TPa,2022-03-27,0"])
+    units, starts, lengths, counts = out = parse_case_series(p)
+    assert units == ["NTb", "TPa"]
+    assert starts.tolist() == [D0.toordinal() + 1, D0.toordinal()]
+    assert lengths.tolist() == [2, 3]
+    assert counts.dtype == np.int64 and counts.tolist() == [[3, 4, 0], [1, 2, 0]]
+    assert [s.counts.tolist() for s in out.values()] == [[3, 4], [1, 2, 0]]
+
+
+def test_parse_case_series_of_a_header_alone(tmp_path):
+    p = tmp_path / "c.csv"
+    write_cases(p, [])
+    units, starts, lengths, counts = parse_case_series(p)
+    assert units == [] and starts.size == lengths.size == 0 and counts.shape == (0, 0)
 
 
 META_HEADER = "unit_id,city_code,district_letter,age_group,population,region,status"

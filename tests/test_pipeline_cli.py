@@ -1,9 +1,13 @@
 import csv
+import dataclasses
 import datetime as dt
 import hashlib
 import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 from xml.etree import ElementTree
 
@@ -12,6 +16,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import epicurve
 from epicurve import major_factor, pipeline
 from epicurve.cli import main
 from epicurve.curve_features import SHAPE_FEATURES
@@ -510,6 +515,12 @@ def _drop_count_cell(text):
     return "".join(lines)
 
 
+def _oversized_count(text):
+    lines = text.splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",99999999999999999999\n"
+    return "".join(lines)
+
+
 def _unit_id_only(text):
     lines = text.splitlines(keepends=True)
     lines[2] = lines[2].split(",", 1)[0] + "\n"
@@ -553,6 +564,7 @@ def _bad_second_cell(text):
 CORRUPT_INPUTS = [
     ("features", "cases.csv", _drop_count_cell, "data error: row 3: missing count"),
     ("features", "cases.csv", _unit_id_only, "data error: row 3: missing date, count"),
+    ("features", "cases.csv", _oversized_count, "data error: row 3: count too large"),
     ("features", "meta.csv", _cut_after_population,
      "data error: row 2: missing region, status"),
     ("associate", "out/features.csv", _bad_peakdate,
@@ -812,3 +824,32 @@ def test_unwritable_output_is_a_config_error(synthetic_dir, tmp_path, blocker):
     assert res.output.startswith(f"config error: cannot write {out / 'features.csv'}: ")
     assert res.output.count("\n") == 1 and "Traceback" not in res.output
     assert (tmp_path / "taken").read_text() == "not a directory\n"
+
+
+def test_unwritable_output_fails_before_parsing(synthetic_dir, tmp_path):
+    """`features` checks its output location first: no case row is parsed
+    and no curve warning is printed before the exit-2 error."""
+    config = _copy_run(synthetic_dir, tmp_path, "cases.csv")
+    data = yaml.safe_load(config.read_text())
+    # peaks on or near the window's last day warn for most units
+    data["window"] = {"start": START, "end": START + dt.timedelta(days=30)}
+    config.write_text(yaml.safe_dump(data))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(epicurve.__file__).parents[1])}
+
+    def features(out):
+        return subprocess.run([sys.executable, "-m", "epicurve.cli", "features",
+                               "--config", str(config), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    writable = features(tmp_path / "out")
+    assert writable.returncode == 0 and "BoundaryPeakWarning" in writable.stderr
+    blocked = features(taken)
+    assert blocked.returncode == 2
+    assert blocked.stderr == (f"config error: cannot write {taken / 'features.csv'}: "
+                              f"[Errno 17] File exists: '{taken}'\n")
+    cfg = dataclasses.replace(pipeline.load_config(str(config)), output=str(taken))
+    with mock.patch.object(pipeline, "parse_case_series", side_effect=AssertionError), \
+            pytest.raises(ConfigError, match="^cannot write "):
+        pipeline.stage_features(cfg)
