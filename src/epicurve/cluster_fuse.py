@@ -15,8 +15,6 @@ tree-distance similarity.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -314,18 +312,6 @@ def leaf_codes(tree: HCTree) -> LeafCodes:
     )
 
 
-def similarity_csv(codes: LeafCodes) -> str:
-    """Similarity matrix as CSV, rows/columns in tree leaf order."""
-    order = list(codes.leaf_order)
-    labels = [codes.leaf_labels[i] for i in order]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit"] + labels)
-    writer.writerows([label] + row for label, row in
-                     zip(labels, codes.similarity[np.ix_(order, order)].tolist()))
-    return buf.getvalue()
-
-
 #: Heatmap cell side and the margin left for unit labels, in SVG pixels.
 _CELL, _LABEL_SPACE = 12, 70
 
@@ -362,14 +348,6 @@ def similarity_svg(codes: LeafCodes) -> str:
         )
     parts.append("</svg>\n")  # a trailing `+ "\n"` would copy the whole text
     return "\n".join(parts)
-
-
-def tree_csv(tree: HCTree) -> str:
-    """Merge records as ``node_id,left_child,right_child,height`` lines."""
-    lines = ["node_id,left_child,right_child,height"]
-    for node, left, right, height in tree.merges:
-        lines.append(f"{node},{left},{right},{height:.9f}")
-    return "\n".join(lines) + "\n"
 
 
 def root_partition(tree: HCTree) -> tuple[set[int], set[int]]:

@@ -41,6 +41,8 @@ class UnitMeta:
     def __post_init__(self):
         if self.population <= 0:
             raise DataError(f"{self.unit_id}: population must be positive")
+        if self.population > 2**63 - 1:  # populations become an int64 array
+            raise DataError(f"{self.unit_id}: population too large")
         if self.region not in REGIONS:
             raise DataError(f"{self.unit_id}: region must be one of {REGIONS}")
         if self.status not in STATUSES:
@@ -56,10 +58,6 @@ class RateSeries:
     unit_id: str
     start_date: dt.date
     rates: tuple[float, ...]
-
-    @property
-    def end_date(self) -> dt.date:
-        return self.start_date + dt.timedelta(days=len(self.rates) - 1)
 
 
 @contextlib.contextmanager

@@ -29,13 +29,10 @@ import yaml
 from . import cluster_fuse, curve_features, infotheory, major_factor
 from .curve_features import FEATURE_COLUMNS, SHAPE_FEATURES
 from .errors import ComputationError, ConfigError, DataError
-from .ingest import _open_input, parse_case_series, parse_unit_metadata
+from .ingest import REGIONS, STATUSES, _open_input, parse_case_series, parse_unit_metadata
 
 #: Metadata-derived binary response columns and their category coding.
-META_RESPONSES = {
-    "region": ("North", "South"),
-    "status": ("Urban", "Suburban"),
-}
+META_RESPONSES = {"region": REGIONS, "status": STATUSES}
 
 NUMERIC_FEATURES = tuple(c for c in FEATURE_COLUMNS if c != "peakdate")
 
@@ -147,10 +144,19 @@ def _list_of(convert, least: int = 0, unique: bool = False):
 _CONVERTERS = {"str": str, "int": _int, "tuple[str, ...]": _list_of(str, least=1, unique=True)}
 
 
+def _known(section: str, mapping: dict, keys) -> None:
+    """Refuse the first key of ``mapping`` not among ``keys``."""
+    unknown = [key for key in mapping if key not in keys]
+    if unknown:
+        raise ConfigError(f"{section}: unknown key {unknown[0]!r}")
+
+
 def _spec(cls, section: str, mapping: dict):
     """``cls`` built from ``mapping``, each field read through ``_field`` in
     declaration order: the annotation picks the converter, and the field's
-    default, if it has one, is used when the key is absent."""
+    default, if it has one, is used when the key is absent. A key that is
+    no field is refused."""
+    _known(section, mapping, [f.name for f in dataclasses.fields(cls)])
     return cls(**{f.name: _field(section, mapping, f.name, _CONVERTERS[f.type], f.default)
                   for f in dataclasses.fields(cls)})
 
@@ -175,6 +181,8 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     for key in ("cases", "metadata", "output"):
         if key not in data:
             raise ConfigError(f"config is missing {key!r}")
+    _known("config", data, {f.name for f in dataclasses.fields(PipelineConfig)}
+           - {"window_start", "window_end"} | {"window"})
 
     def resolve(p):
         p = str(p)
@@ -183,6 +191,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     window = data.get("window", {}) or {}
     if not isinstance(window, dict):
         raise ConfigError("window must be a mapping with start and end")
+    _known("window", window, ("start", "end"))
     start = _as_date(window.get("start", PipelineConfig.window_start), "window start")
     end = _as_date(window.get("end", PipelineConfig.window_end), "window end")
     if start >= end:
@@ -629,6 +638,14 @@ def _write_reports(cfg, response, scan1, scan2, top, bottom) -> list[str]:
 # ---------------------------------------------------------------------------
 # stage: cluster
 
+def _similarity_table(codes: cluster_fuse.LeafCodes):
+    """(header, rows) of a similarity CSV: rows and columns in tree leaf order."""
+    order = list(codes.leaf_order)
+    labels = [codes.leaf_labels[i] for i in order]
+    return (["unit", *labels], ([label, *row] for label, row in
+                                zip(labels, codes.similarity[np.ix_(order, order)].tolist())))
+
+
 def stage_cluster(cfg: PipelineConfig) -> list[str]:
     """Build Ward.D2 trees, leaf codes, similarity matrices, and heatmaps."""
     features_path = _require(cfg, "features.csv", "features")
@@ -642,9 +659,11 @@ def stage_cluster(cfg: PipelineConfig) -> list[str]:
             raise ComputationError(f"{spec.name}: {exc}") from exc
         codes = cluster_fuse.leaf_codes(tree)
 
-        written.append(_write(cfg, f"tree_{spec.name}.csv", cluster_fuse.tree_csv(tree)))
-        written.append(_write(cfg, f"similarity_{spec.name}.csv",
-                              cluster_fuse.similarity_csv(codes)))
+        written.append(_write_csv(
+            cfg, f"tree_{spec.name}.csv", ("node_id", "left_child", "right_child", "height"),
+            ((node, left, right, f"{h:.9f}") for node, left, right, h in tree.merges)))
+        written.append(_write_csv(cfg, f"similarity_{spec.name}.csv",
+                                  *_similarity_table(codes)))
         written.append(_write(cfg, f"heatmap_{spec.name}.svg",
                               cluster_fuse.similarity_svg(codes)))
         if excluded:

@@ -7,6 +7,8 @@ import dataclasses
 import datetime as dt
 import io
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -49,9 +51,11 @@ class RawSeries:
         if min(self.counts) < 0:
             raise DataError(f"{self.unit_id}: negative count")
 
-    @property
-    def end_date(self) -> dt.date:
-        return self.start_date + dt.timedelta(days=len(self.counts) - 1)
+
+def end_date(series) -> dt.date:
+    """Last day of a RawSeries or RateSeries."""
+    days = series.rates if isinstance(series, RateSeries) else series.counts
+    return series.start_date + dt.timedelta(days=len(days) - 1)
 
 
 def case_series(parsed: CaseCounts) -> dict[str, RawSeries]:
@@ -64,10 +68,10 @@ def window_slice(series, start: dt.date, end: dt.date) -> slice:
     """Index range of the days [start, end] in a RawSeries or RateSeries."""
     if start > end:
         raise DataError(f"window start {start} after end {end}")
-    if start < series.start_date or end > series.end_date:
+    if start < series.start_date or end > end_date(series):
         raise DataError(
             f"{series.unit_id}: window [{start}, {end}] outside data "
-            f"[{series.start_date}, {series.end_date}]"
+            f"[{series.start_date}, {end_date(series)}]"
         )
     i = (start - series.start_date).days
     return slice(i, i + (end - start).days + 1)
@@ -666,6 +670,44 @@ def oracle_similarity_csv(codes) -> str:
     writer.writerows([codes.leaf_labels[i]] + codes.similarity[i, order].tolist()
                      for i in order)
     return buf.getvalue()
+
+
+def oracle_tree_csv(tree) -> str:
+    """Tree CSV with one formatted line per merge."""
+    lines = ["node_id,left_child,right_child,height"]
+    lines += [f"{node},{left},{right},{height:.9f}" for node, left, right, height in tree.merges]
+    return "\n".join(lines) + "\n"
+
+
+def written_csv(name: str, header, rows) -> str:
+    """Text of the CSV that ``pipeline._write_csv`` writes for ``header`` and ``rows``."""
+    from epicurve import pipeline
+
+    with tempfile.TemporaryDirectory() as out:
+        cfg = pipeline.PipelineConfig(cases="unused", metadata="unused", output=out)
+        with open(pipeline._write_csv(cfg, name, header, rows), encoding="utf-8",
+                  newline="") as fh:
+            return fh.read()
+
+
+def stage_tree_csv(tree) -> str:
+    """Text of the tree_t.csv that ``pipeline.stage_cluster`` writes when Ward
+    returns ``tree``."""
+    from unittest import mock
+
+    from epicurve import cluster_fuse, pipeline
+
+    with tempfile.TemporaryDirectory() as out:
+        cfg = pipeline.PipelineConfig(
+            cases="unused", metadata="unused", output=out,
+            clusterings=(pipeline.ClusteringSpec("t", ("left30",)),))
+        open(os.path.join(out, "features.csv"), "w").close()
+        features = (list(tree.leaf_labels), {"left30": np.zeros(tree.n_leaves)})
+        with mock.patch.object(pipeline, "read_features_csv", return_value=features), \
+                mock.patch.object(cluster_fuse, "hcluster_ward", return_value=(tree, [])):
+            pipeline.stage_cluster(cfg)
+        with open(os.path.join(out, "tree_t.csv"), encoding="utf-8", newline="") as fh:
+            return fh.read()
 
 
 def oracle_similarity_svg(codes) -> str:

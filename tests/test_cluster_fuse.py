@@ -14,18 +14,20 @@ from epicurve.cluster_fuse import (
     kmeans_fuse,
     leaf_codes,
     root_partition,
-    similarity_csv,
     similarity_svg,
-    tree_csv,
 )
 from epicurve.errors import ComputationError
+from epicurve.pipeline import _similarity_table
 from helpers import (
     naive_ward_reference,
     oracle_kmeans_fuse,
     oracle_leaf_codes,
     oracle_similarity_csv,
     oracle_similarity_svg,
+    oracle_tree_csv,
     random_merge_tree,
+    stage_tree_csv,
+    written_csv,
 )
 
 
@@ -305,15 +307,16 @@ class TestArtifacts:
 
     def test_csv_leaf_order_matches_traversal(self, two_blob_codes):
         codes, _tree = two_blob_codes
-        text = similarity_csv(codes)
+        text = written_csv("similarity.csv", *_similarity_table(codes))
         header = text.splitlines()[0].split(",")[1:]
         assert header == [codes.leaf_labels[i] for i in codes.leaf_order]
 
     def test_render_determinism(self, two_blob_codes):
         codes, tree = two_blob_codes
-        assert similarity_csv(codes) == similarity_csv(codes)
+        assert (written_csv("similarity.csv", *_similarity_table(codes))
+                == written_csv("similarity.csv", *_similarity_table(codes)))
         assert similarity_svg(codes) == similarity_svg(codes)
-        assert tree_csv(tree) == tree_csv(tree)
+        assert stage_tree_csv(tree) == stage_tree_csv(tree)
 
     def test_svg_is_wellformed_enough(self, two_blob_codes):
         codes, _ = two_blob_codes
@@ -339,7 +342,8 @@ def assert_render_matches_oracle(tree):
     assert got.leaf_order == want.leaf_order
     assert got.similarity.dtype == want.similarity.dtype
     assert np.array_equal(got.similarity, want.similarity)
-    assert first_difference(similarity_csv(got), oracle_similarity_csv(want)) is None
+    text = written_csv("similarity.csv", *_similarity_table(got))
+    assert first_difference(text, oracle_similarity_csv(want)) is None
     svg = similarity_svg(got)
     assert first_difference(svg, oracle_similarity_svg(want)) is None
     root = ElementTree.fromstring(svg)
@@ -377,3 +381,23 @@ class TestRenderOracle:
         tree = HCTree(tuple(f"u{i}" for i in range(n)), tuple(merges))
         assert len(leaf_codes(tree).codes[0]) == n - 1
         assert_render_matches_oracle(tree)
+
+
+class TestTreeCsvOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([0.0, 1e-10, 1e6]) | st.floats(0, 1e6),
+                 min_size=n - 1, max_size=n - 1))))
+    def test_matches_per_line_oracle(self, case):
+        seed, heights = case
+        tree = random_merge_tree(len(heights) + 1, np.random.default_rng(seed))
+        tree = HCTree(tree.leaf_labels, tuple(
+            (node, left, right, h) for (node, left, right, _), h in zip(tree.merges, heights)))
+        assert stage_tree_csv(tree) == oracle_tree_csv(tree)
+
+    def test_extreme_heights(self):
+        merges = ((4, 0, 1, 0.0), (5, 2, 3, 1e-10), (6, 4, 5, 1e6))
+        assert stage_tree_csv(HCTree(("a", "b", "c", "d"), merges)) == (
+            "node_id,left_child,right_child,height\n4,0,1,0.000000000\n"
+            "5,2,3,0.000000000\n6,4,5,1000000.000000000\n")

@@ -12,6 +12,7 @@ from helpers import (
     RawSeries,
     case_series,
     compute_daily_rates,
+    end_date,
     oracle_parse_case_series,
     window_clip,
     write_case_series,
@@ -236,6 +237,15 @@ def test_parse_metadata_zero_population(tmp_path):
         parse_unit_metadata(p)
 
 
+@pytest.mark.parametrize("population", [2**63, 99999999999999999999])
+def test_parse_metadata_population_too_large(tmp_path, population):
+    p = tmp_path / "m.csv"
+    p.write_text(META_HEADER + f"\nNTb,NT,b,,{2**63 - 1},North,Urban"
+                 f"\nTPa,TP,a,,{population},North,Urban\n")
+    with pytest.raises(DataError, match="^row 3: TPa: population too large$"):
+        parse_unit_metadata(p)
+
+
 @pytest.mark.parametrize("row, missing", [
     ("TPa,TP,a,,100", "region, status"),
     ("TPa", "city_code, district_letter, age_group, population, region, status"),
@@ -297,7 +307,7 @@ def test_window_clip_single_day():
 
 def test_window_clip_full_range_identity():
     r = compute_daily_rates(RawSeries("TPa", D0, (1, 2, 3)), meta())
-    assert window_clip(r, r.start_date, r.end_date) == r
+    assert window_clip(r, r.start_date, end_date(r)) == r
 
 
 def test_window_clip_outside_data():

@@ -374,6 +374,26 @@ def _thresholds_print_alike(d):
     d["thresholds"] = [0.6, 0.6000001]
 
 
+def _unknown_top_key(d):
+    d["n_bin"] = 3
+
+
+def _unknown_window_key(d):
+    d["window"]["stop"] = d["window"].pop("end")
+
+
+def _unknown_fusion_key(d):
+    d["fusions"][0]["restart"] = 5
+
+
+def _unknown_response_key(d):
+    d["responses"][0]["replicate"] = 7
+
+
+def _unknown_clustering_key(d):
+    d["clusterings"][0]["k"] = 2
+
+
 INVALID_CONFIGS = [
     (_restarts_zero, "restarts must be >= 1"),
     (_replicates_zero, "replicates must be >= 1"),
@@ -414,6 +434,11 @@ INVALID_CONFIGS = [
     (_thresholds_equal, "thresholds 0.6 and 0.6 both name network_<kind>_0.6.dot"),
     (_thresholds_print_alike,
      "thresholds 0.6 and 0.6000001 both name network_<kind>_0.6.dot"),
+    (_unknown_top_key, "config: unknown key 'n_bin'"),
+    (_unknown_window_key, "window: unknown key 'stop'"),
+    (_unknown_fusion_key, "fusions[0]: unknown key 'restart'"),
+    (_unknown_response_key, "responses[0]: unknown key 'replicate'"),
+    (_unknown_clustering_key, "clusterings[0]: unknown key 'k'"),
 ]
 
 
@@ -533,6 +558,14 @@ def _cut_after_population(text):
     return "".join(lines)
 
 
+def _oversized_population(text):
+    lines = text.splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[4] = "99999999999999999999"
+    lines[1] = ",".join(cells)
+    return "".join(lines)
+
+
 def _bad_peakdate(text):
     lines = text.splitlines(keepends=True)
     unit, _date, rest = lines[1].split(",", 2)
@@ -567,6 +600,8 @@ CORRUPT_INPUTS = [
     ("features", "cases.csv", _oversized_count, "data error: row 3: count too large"),
     ("features", "meta.csv", _cut_after_population,
      "data error: row 2: missing region, status"),
+    ("features", "meta.csv", _oversized_population,
+     "data error: row 2: [^:]+: population too large"),
     ("associate", "out/features.csv", _bad_peakdate,
      "features.csv: row 2: unparseable peakdate '2022-13-45'"),
     ("fuse", "out/features.csv", _infinite_peakvalue,
