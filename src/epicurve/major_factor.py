@@ -10,8 +10,8 @@ drops form the noise baseline.
 SCE-drop of a feature set is the smallest conditional-entropy reduction
 any single member contributes over the set without it; for singletons it
 coincides with the plain CE-drop. A pair whose SCE-drop beats both the
-better singleton drop and the noise baseline carries a genuine order-2
-(interaction) effect.
+weaker member's singleton drop and the larger of the members' noise
+baselines is classed as an order-2 (interaction) effect.
 """
 
 from __future__ import annotations
@@ -135,12 +135,65 @@ def scan_order2(
     return scan(y, candidates, 2)[1]
 
 
-def permutation_orders(seed: int, replicates: int, n: int) -> np.ndarray:
-    """(replicates, n) null row orders in the smallest unsigned dtype holding n - 1:
-    ``column[orders[r]]`` is ``default_rng([seed, r]).permutation(column)``."""
-    orders = np.empty((replicates, n), dtype=np.min_scalar_type(max(n - 1, 0)))
-    for r in range(replicates):
-        orders[r] = np.random.default_rng([seed, r]).permutation(n)
+#: Hash constants of numpy's SeedSequence (bit_generator.pyx) and the PCG64 multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix of uint32 columns, its constant advanced by each call."""
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hash_
+
+
+def _pcg64_states(entropy: np.ndarray):
+    """Yields the PCG64 state of ``default_rng(row)`` for each row of the (m, w) uint32
+    ``entropy``: SeedSequence's mix_entropy and generate_state(4, uint64) run on
+    whole columns, then pcg_setseq_128_srandom_r on each row's four words."""
+    hash_ = _hasher(_INIT_A, _MULT_A)
+    pool = [hash_(column) for column in np.pad(entropy, ((0, 0), (0, 4)))[:, :4].T]
+    # mix every pool word into the others, then each entropy word past the pool into all
+    for src in range(max(4, entropy.shape[1])):
+        for dst in (d for d in range(4) if d != src):
+            mixed = _MIX_L * pool[dst] - _MIX_R * hash_(entropy[:, src] if src >= 4 else pool[src])
+            pool[dst] = mixed ^ mixed >> np.uint32(16)
+    hash_ = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([hash_(pool[i % 4]) for i in range(8)], 1)
+    for s_hi, s_lo, i_hi, i_lo in words.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
+
+
+def permutation_orders(seeds: Sequence[int], replicates: int, n: int) -> dict:
+    """{(seed, replicates): (replicates, n) null row orders} in the smallest unsigned
+    dtype holding n - 1: ``column[orders[r]]`` is ``default_rng([seed, r]).permutation(column)``.
+    The generator states of all replicates of seeds with equally many 32-bit words are
+    computed in one pass, and each is set on one reused generator that shuffles its
+    row of ``arange(n)``, as ``permutation(n)`` does."""
+    by_width: dict[int, list[int]] = {}
+    for s in dict.fromkeys(int(s) for s in seeds):
+        if s < 0:
+            raise ComputationError(f"seed must be >= 0, got {s}")
+        by_width.setdefault(max(1, -(-s.bit_length() // 32)), []).append(s)
+    generator, orders = np.random.Generator(np.random.PCG64(0)), {}
+    for width, group in by_width.items():
+        words = [[s >> 32 * i & 0xFFFFFFFF for i in range(width)] for s in group]
+        states = _pcg64_states(np.column_stack([
+            np.repeat(np.array(words, dtype=np.uint32), replicates, axis=0),
+            np.tile(np.arange(replicates, dtype=np.uint32), len(group))]))
+        for s in group:
+            orders[(s, replicates)] = block = np.tile(
+                np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0))), (replicates, 1))
+            for row in block:
+                generator.bit_generator.state = next(states)
+                generator.shuffle(row)
     return orders
 
 
@@ -156,8 +209,8 @@ def noise_thresholds(y: Sequence[int], existing: Sequence[Sequence[int]],
     e = len(existing)
     base = (float(_conditional_entropies(y, columns[:e], [range(e)])[0]) if e
             else _marginal_entropy(y))
-    orders.update({(s, replicates): permutation_orders(s, replicates, y.size)
-                   for s in seeds if (s, replicates) not in orders})
+    orders.update(permutation_orders([s for s in seeds if (s, replicates) not in orders],
+                                     replicates, y.size))
     drops = np.empty((len(candidates), replicates))
     step = max(1, infotheory.BATCH_CELLS // max(y.size, 1))
     for lo in range(0, drops.size, step):
@@ -189,8 +242,9 @@ def classify_pair(
     ``null_i``/``null_j`` are the singleton permutation nulls of the two
     members. Classification:
 
-    * order2-interaction: the pair's SCE-drop exceeds both the better
-      singleton drop and the noise q95 baseline.
+    * order2-interaction: the pair's SCE-drop exceeds both the weaker
+      member's singleton drop, ``min(drop_i, drop_j)``, and the larger of
+      the two noise q95 baselines.
     * order1-pair: both members individually significant and the joint
       drop at most additive (two concurrent order-1 factors).
     * redundant: the weaker member adds less than its noise baseline on

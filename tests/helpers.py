@@ -307,6 +307,15 @@ def oracle_joint_conditional_entropy(y, cols) -> float:
     return h
 
 
+def oracle_permutation_orders(seed: int, replicates: int, n: int) -> np.ndarray:
+    """(replicates, n) null row orders of one seed, one ``default_rng([seed, r])``
+    built per replicate, in the smallest unsigned dtype holding n - 1."""
+    orders = np.empty((replicates, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    for r in range(replicates):
+        orders[r] = np.random.default_rng([seed, r]).permutation(n)
+    return orders
+
+
 def oracle_noise_threshold(y, existing, candidate, replicates: int = 200,
                            seed: int = 0) -> NullDropStats:
     """Permutation-null stats for one candidate, drawing replicate r as

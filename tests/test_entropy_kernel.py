@@ -11,10 +11,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epicurve import infotheory, major_factor
+from epicurve.errors import ComputationError
 from epicurve.infotheory import (
     _conditional_entropies,
     _dense,
@@ -37,6 +38,7 @@ from helpers import (
     oracle_contingency,
     oracle_joint_conditional_entropy,
     oracle_noise_threshold,
+    oracle_permutation_orders,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -244,21 +246,41 @@ class TestBatchedNulls:
             assert set(orders) == {(s, replicates) for s in seeds + shifted}
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 300))
-    def test_orders_are_the_replicate_permutations(self, seed, replicates, n):
+    @given(st.lists(st.one_of(st.integers(0, 40), st.integers(2**32 - 3, 2**32 + 3),
+                              st.integers(0, 2**130)), min_size=1, max_size=6),
+           st.integers(1, 12), st.integers(1, 300))
+    @example(seeds=[0, 2**32 - 1, 2**32, 2**64, 2**96, 2**128, 2**130], replicates=3, n=257)
+    @example(seeds=[7, 7, 2**130], replicates=1, n=1)
+    def test_orders_are_the_replicate_permutations(self, seeds, replicates, n):
+        """Seeds of one to five 32-bit words, so the SeedSequence entropy
+        [seed words, r] runs from 2 words to beyond its 4-word pool."""
         column = np.arange(n) * 7 % 11 - 3
-        orders = permutation_orders(seed, replicates, n)
-        assert orders.shape == (replicates, n)
-        assert orders.dtype == (np.uint8 if n <= 256 else np.uint16)
-        for r in range(replicates):
-            assert np.array_equal(column[orders[r]],
-                                  np.random.default_rng([seed, r]).permutation(column))
+        orders = permutation_orders(seeds, replicates, n)
+        assert set(orders) == {(s, replicates) for s in seeds}
+        for (seed, _), got in orders.items():
+            want = oracle_permutation_orders(seed, replicates, n)
+            assert got.dtype == want.dtype == (np.uint8 if n <= 256 else np.uint16)
+            assert got.shape == (replicates, n) and np.array_equal(got, want)
+            assert np.array_equal(column[got[-1]], np.random.default_rng(
+                [seed, replicates - 1]).permutation(column))
+
+    def test_orders_of_a_long_column(self):
+        seeds = [3, 2**32 + 3, 2**70]
+        orders = permutation_orders(seeds, 2, 70_000)
+        for seed in seeds:
+            want = oracle_permutation_orders(seed, 2, 70_000)
+            assert orders[(seed, 2)].dtype == want.dtype == np.uint32
+            assert np.array_equal(orders[(seed, 2)], want)
 
     def test_one_unit(self):
-        orders = permutation_orders(5, 3, 1)
+        orders = permutation_orders([5], 3, 1)[(5, 3)]
         assert orders.tolist() == [[0], [0], [0]] and orders.dtype == np.uint8
         assert np.array_equal(np.array([4])[orders[2]],
                               np.random.default_rng([5, 2]).permutation(np.array([4])))
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ComputationError, match="seed must be >= 0, got -1"):
+            permutation_orders([3, -1], 2, 4)
 
     @pytest.mark.parametrize("cells", [1, 7, 100, 1 << 14])
     def test_no_kernel_call_exceeds_one_batch(self, cells):

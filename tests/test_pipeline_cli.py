@@ -22,7 +22,13 @@ from epicurve.cli import main
 from epicurve.curve_features import SHAPE_FEATURES
 from epicurve.errors import ConfigError
 
-from helpers import START, base_config, config_to_dict, oracle_noise_threshold
+from helpers import (
+    START,
+    base_config,
+    config_to_dict,
+    oracle_noise_threshold,
+    oracle_permutation_orders,
+)
 
 
 def digest_dir(path):
@@ -783,25 +789,40 @@ def test_too_few_ward_rows_names_the_clustering(synthetic_dir, tmp_path):
     assert "late: need at least 2 complete rows, got 0" in res.output
 
 
+SELECT_CANDIDATES = ["peakdate", *SHAPE_FEATURES, "left30to70"]
+
+
+def _select_data(synthetic_dir, responses):
+    """A config mapping scanning the 20 candidates for each (response, seed,
+    order, replicates), with no clustering."""
+    data = base_config(synthetic_dir)
+    data["cases"] = str(synthetic_dir / "cases.csv")
+    data["metadata"] = str(synthetic_dir / "meta.csv")
+    assert len(SELECT_CANDIDATES) == 20
+    data["responses"] = [
+        {"response": response, "candidates": SELECT_CANDIDATES, "order": order,
+         "replicates": replicates, "seed": seed, "top": 3, "bottom": 1}
+        for response, seed, order, replicates in responses]
+    data["clusterings"] = []
+    return data
+
+
+def oracle_noise_thresholds(y, existing, candidates, replicates, seeds, orders):
+    return [oracle_noise_threshold(y, existing, c, replicates, s)
+            for c, s in zip(candidates, seeds)]
+
+
+def _scan_bytes(data, out):
+    """The scan CSVs a whole run writes into ``out``, by name."""
+    pipeline.run_pipeline(pipeline.config_from_dict({**data, "output": str(out)}))
+    return {path.name: path.read_bytes() for path in sorted(out.glob("scan_*.csv"))}
+
+
 def test_select_draws_each_null_order_once(synthetic_dir, tmp_path):
     """Two responses over the same 20 candidates with seeds 5 and 7 use null
     seeds 5..24 and 7..26: 22 distinct draws, and the scans are those of a
     run that draws every candidate's null on its own."""
-    data = base_config(synthetic_dir)
-    data["cases"] = str(synthetic_dir / "cases.csv")
-    data["metadata"] = str(synthetic_dir / "meta.csv")
-    candidates = ["peakdate", *SHAPE_FEATURES, "left30to70"]
-    assert len(candidates) == 20
-    data["responses"] = [
-        {"response": response, "candidates": candidates, "order": 2,
-         "replicates": 30, "seed": seed, "top": 3, "bottom": 1}
-        for response, seed in (("region", 5), ("status", 7))]
-    data["clusterings"] = []
-
-    def oracle_noise_thresholds(y, existing, candidates, replicates, seeds, orders):
-        return [oracle_noise_threshold(y, existing, c, replicates, s)
-                for c, s in zip(candidates, seeds)]
-
+    data = _select_data(synthetic_dir, [("region", 5, 2, 30), ("status", 7, 2, 30)])
     held = []  # seeds of the orders held when each response's nulls start
 
     def noise_thresholds(y, existing, candidates, replicates, seeds, orders):
@@ -809,24 +830,47 @@ def test_select_draws_each_null_order_once(synthetic_dir, tmp_path):
         return batched(y, existing, candidates, replicates, seeds, orders)
 
     batched = major_factor.noise_thresholds
-    scans = {}
-    for run in ("batched", "oracle"):
-        cfg = pipeline.config_from_dict({**data, "output": str(tmp_path / run)})
-        if run == "batched":
-            with mock.patch.object(major_factor, "permutation_orders",
-                                   wraps=major_factor.permutation_orders) as draws, \
-                    mock.patch.object(major_factor, "noise_thresholds", noise_thresholds):
-                pipeline.run_pipeline(cfg)
-            assert draws.call_count == 22
-            assert sorted(c.args[0] for c in draws.call_args_list) == list(range(5, 27))
-            # seeds 5 and 6 were dropped after the first response, their last use
-            assert held == [[], list(range(7, 25))]
-        else:
-            with mock.patch.object(major_factor, "noise_thresholds", oracle_noise_thresholds):
-                pipeline.run_pipeline(cfg)
-        scans[run] = {name: (tmp_path / run / name).read_bytes()
-                      for name in ("scan_region.csv", "scan_status.csv")}
-    assert scans["batched"] == scans["oracle"]
+    with mock.patch.object(major_factor, "permutation_orders",
+                           wraps=major_factor.permutation_orders) as draws, \
+            mock.patch.object(major_factor, "noise_thresholds", noise_thresholds):
+        got = _scan_bytes(data, tmp_path / "batched")
+    assert draws.call_count == 2  # one call per response, with the seeds it lacks
+    drawn = [(seed, c.args[1]) for c in draws.call_args_list for seed in c.args[0]]
+    assert sorted(drawn) == [(seed, 30) for seed in range(5, 27)]
+    # seeds 5 and 6 were dropped after the first response, their last use
+    assert held == [[], list(range(7, 25))]
+    with mock.patch.object(major_factor, "noise_thresholds", oracle_noise_thresholds):
+        want = _scan_bytes(data, tmp_path / "oracle")
+    assert list(got) == ["scan_region.csv", "scan_status.csv"] and got == want
+
+
+def test_null_seeds_crossing_two_to_the_32(synthetic_dir, tmp_path):
+    """Seed 2**32 - 10 gives the 20 candidates null seeds of one and of two
+    32-bit words within one response."""
+    data = _select_data(synthetic_dir, [("region", 2**32 - 10, 2, 20)])
+    got = _scan_bytes(data, tmp_path / "batched")
+    with mock.patch.object(major_factor, "noise_thresholds", oracle_noise_thresholds):
+        want = _scan_bytes(data, tmp_path / "oracle")
+    assert list(got) == ["scan_region.csv"] and got == want
+
+
+def test_select_builds_no_generator_per_replicate(synthetic_dir, tmp_path):
+    """The scan-deep shape: orders 3 and 2 at 50 replicates over 20 candidates
+    (22 null seeds). An oracle draw of the same orders counts 1100 generators."""
+    data = _select_data(synthetic_dir, [("region", 5, 3, 50), ("status", 7, 2, 50)])
+    cfg = pipeline.config_from_dict({**data, "output": str(tmp_path / "out")})
+    pipeline.run_pipeline(cfg)
+
+    def oracle_orders(seeds, replicates, n):
+        return {(s, replicates): oracle_permutation_orders(s, replicates, n) for s in seeds}
+
+    counts = {}
+    for run, draw in (("batched", major_factor.permutation_orders), ("oracle", oracle_orders)):
+        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rngs, \
+                mock.patch.object(major_factor, "permutation_orders", draw):
+            pipeline.stage_select(cfg)
+        counts[run] = rngs.call_count
+    assert counts == {"batched": 0, "oracle": 22 * 50}
 
 
 @pytest.mark.parametrize("failure", ["encode", "replace"])
