@@ -124,6 +124,9 @@ BATCH_CELLS = 1 << 14
 #: Keys are re-coded densely before a batch's cell ids could overflow int64.
 _KEY_LIMIT = 1 << 62
 
+#: Cell ids per counted cell above which a batch re-codes them before counting.
+_SPACE_PER_CELL = 4
+
 
 def _dense(x) -> np.ndarray:
     """Codes 0..r-1 of the values of ``x``, in ascending value order."""
@@ -135,10 +138,10 @@ def _conditional_entropies(y, columns, sets, first_seen: bool = True) -> np.ndar
 
     ``columns`` is a (p, n) array of small non-negative integer codes and
     ``sets`` an (m, k) array of indices into its rows. Each set's columns
-    are encoded as one mixed-radix key per unit, and sets are counted
-    BATCH_CELLS cells at a time. The floating-point operations are those
-    of the scalar definition, in its order: the groups of F, and the Y
-    cells within a group, in first-occurrence order (ascending label
+    are encoded as one mixed-radix key per unit, and sets are counted by
+    one ``np.bincount`` per BATCH_CELLS cells. The floating-point operations
+    are those of the scalar definition, in its order: the groups of F, and
+    the Y cells within a group, in first-occurrence order (ascending label
     order, as in a ContingencyTable, when ``first_seen`` is false).
     """
     y = _dense(np.asarray(y, dtype=int))
@@ -161,17 +164,28 @@ def _conditional_entropies(y, columns, sets, first_seen: bool = True) -> np.ndar
 
 
 def _batch_entropies(y: np.ndarray, keys: np.ndarray, first_seen: bool) -> np.ndarray:
-    """H(Y | key) per row of ``keys`` (m, n), from one count of all cells."""
+    """H(Y | key) per row of ``keys`` (m, n), from one ``np.bincount`` of all
+    cell ids, whose occupied bins come in id order: grouped by row and key
+    with no sort. Ids over _SPACE_PER_CELL per cell are first re-coded to
+    their ranks, which keeps that order."""
     m, n = keys.shape
     ny = int(y.max()) + 1
     span = int(keys.max()) + 1
     cell = ((np.arange(m)[:, None] * span + keys) * ny + y).reshape(-1)
-    cell, first, counts = np.unique(cell, return_index=True, return_counts=True)
-    group = cell // ny
+    ids = None
+    if m * span * ny > _SPACE_PER_CELL * cell.size:
+        ids, cell = np.unique(cell, return_inverse=True)
+    counts = np.bincount(cell)
+    occupied = np.flatnonzero(counts)
+    counts = counts[occupied]
+    group = (occupied if ids is None else ids) // ny
     starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
     if first_seen:
+        first = np.full(occupied[-1] + 1, cell.size)
+        np.minimum.at(first, cell, np.arange(cell.size))
+        first = first[occupied]
         group_first = np.minimum.reduceat(first, starts)
-        rank = np.repeat(group_first, np.diff(np.r_[starts, cell.size]))
+        rank = np.repeat(group_first, np.diff(np.r_[starts, counts.size]))
         order = np.lexsort((first, rank))
         counts, group = counts[order], group[order]
         starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
@@ -190,7 +204,7 @@ def _grouped_entropy(counts, starts, owner, n: int) -> np.ndarray:
     p = counts / np.repeat(n_g, lengths)
     plogp = p * np.log2(p)
     h = np.empty(starts.size)
-    for length in np.unique(lengths):
+    for length in np.flatnonzero(np.bincount(lengths)):
         sel = np.flatnonzero(lengths == length)
         h[sel] = -np.sum(plogp[starts[sel, None] + np.arange(length)], axis=1)
     pos = np.arange(starts.size) - np.searchsorted(owner, owner)

@@ -27,6 +27,7 @@ from epicurve.infotheory import (
     ContingencyTable,
     DegenerateColumnWarning,
     _conditional_entropies,
+    _grouped_entropy,
     entropy,
     rescaled_ce,
 )
@@ -305,6 +306,26 @@ def oracle_joint_conditional_entropy(y, cols) -> float:
         nk = sum(counts)
         h += (nk / n) * entropy(counts)
     return h
+
+
+def oracle_batch_entropies(y: np.ndarray, keys: np.ndarray, first_seen: bool) -> np.ndarray:
+    """H(Y | key) per row of ``keys`` (m, n), counting the cells with one
+    ``np.unique`` sort of their ids and, with ``first_seen``, putting each
+    group's cells in first-occurrence order by a lexsort."""
+    m, n = keys.shape
+    ny = int(y.max()) + 1
+    span = int(keys.max()) + 1
+    cell = ((np.arange(m)[:, None] * span + keys) * ny + y).reshape(-1)
+    cell, first, counts = np.unique(cell, return_index=True, return_counts=True)
+    group = cell // ny
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    if first_seen:
+        group_first = np.minimum.reduceat(first, starts)
+        rank = np.repeat(group_first, np.diff(np.r_[starts, cell.size]))
+        order = np.lexsort((first, rank))
+        counts, group = counts[order], group[order]
+        starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    return _grouped_entropy(counts, starts, group[starts] // span, n)
 
 
 def oracle_permutation_orders(seed: int, replicates: int, n: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from epicurve import infotheory, major_factor
 from epicurve.errors import ComputationError
 from epicurve.infotheory import (
+    _batch_entropies,
     _conditional_entropies,
     _dense,
     association_matrices,
@@ -34,6 +35,7 @@ from epicurve.major_factor import (
 
 from helpers import (
     contingency,
+    oracle_batch_entropies,
     oracle_conditional_entropy,
     oracle_contingency,
     oracle_joint_conditional_entropy,
@@ -64,6 +66,15 @@ def columns(draw, min_cols=1, max_cols=4, max_rows=40, min_label=0):
 
 def with_batch_cells(cells):
     return mock.patch.object(infotheory, "BATCH_CELLS", cells)
+
+
+def with_space_per_cell(bound):
+    return mock.patch.object(infotheory, "_SPACE_PER_CELL", bound)
+
+
+def counted(name):
+    """Patch the numpy function ``name`` with a wrapper that counts its calls."""
+    return mock.patch.object(np, name, wraps=getattr(np, name))
 
 
 class TestFirstSeenOrder:
@@ -114,6 +125,96 @@ class TestFirstSeenOrder:
         x = rng.integers(0, 3, size=600)
         assert (float(joint_conditional_entropy(y, [x])).hex()
                 == float(oracle_joint_conditional_entropy(y, [x])).hex())
+
+
+class TestBincountCounting:
+    """The bincount kernel against the sort-based batch it replaced."""
+
+    @SETTINGS
+    @given(columns(max_cols=4), st.integers(1, 200), st.booleans(),
+           st.sampled_from([0, 4, 1 << 62]))
+    def test_every_set_matches_the_sort_oracle(self, data, cells, first_seen, bound):
+        """Re-coding always (bound 0), at the default bound, and never."""
+        y, cols = data
+        codes = np.array([_dense(c) for c in cols])
+        for k in range(1, min(3, len(cols)) + 1):
+            sets = list(combinations(range(len(cols)), k))
+            with with_batch_cells(cells), with_space_per_cell(bound):
+                got = _conditional_entropies(y, codes, sets, first_seen)
+                with mock.patch.object(infotheory, "_batch_entropies",
+                                       oracle_batch_entropies):
+                    want = _conditional_entropies(y, codes, sets, first_seen)
+            assert hexes(got) == hexes(want)
+
+    @SETTINGS
+    @given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 300), st.data(),
+           st.booleans(), st.sampled_from([0, 4, 1 << 62]))
+    def test_wide_keys_match_the_sort_oracle(self, m, n, max_key, data, first_seen, bound):
+        y = _dense(np.array(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))))
+        keys = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, max_key), min_size=n, max_size=n),
+            min_size=m, max_size=m)))
+        with with_space_per_cell(bound):
+            got = _batch_entropies(y, keys, first_seen)
+        assert hexes(got) == hexes(oracle_batch_entropies(y, keys, first_seen))
+
+    @pytest.mark.parametrize("first_seen, sorts", [(False, 0), (True, 1)])
+    def test_cohort_wide_batch_sorts_nothing_but_first_positions(self, first_seen, sorts):
+        """23 sets x 700 rows of labels 0-4, one association batch: no sort
+        with first_seen false, and one lexsort of the occupied cells with it."""
+        rng = np.random.default_rng(3)
+        y = rng.integers(0, 5, size=700)
+        keys = rng.integers(0, 5, size=(23, 700))
+        with counted("unique") as unique, counted("lexsort") as lexsort, \
+                counted("argsort") as argsort:
+            got = _batch_entropies(y, keys, first_seen)
+        assert (unique.call_count, lexsort.call_count, argsort.call_count) == (0, sorts, 0)
+        assert hexes(got) == hexes(oracle_batch_entropies(y, keys, first_seen))
+
+    def test_order_three_of_forty_labels_is_recoded(self):
+        """256,000 ids for 30 cells: counted after re-coding, in <= 30 bins."""
+        rng = np.random.default_rng(4)
+        y = rng.integers(0, 4, size=30)
+        cols = rng.integers(0, 40, size=(3, 30))
+        cols[:, 0] = 39
+        with counted("bincount") as bincount:
+            got = _conditional_entropies(y, cols, [[0, 1, 2]])[0]
+        assert max(c.args[0].max() + 1 for c in bincount.call_args_list) <= 30
+        assert float(got).hex() == float(oracle_joint_conditional_entropy(y, cols)).hex()
+
+    @pytest.mark.parametrize("first_seen", [False, True])
+    def test_keys_recoded_before_the_final_multiply(self, first_seen):
+        """Labels up to 2**21: the second product could pass _KEY_LIMIT, so
+        the keys are made dense first, and then the cell ids are re-coded."""
+        rng = np.random.default_rng(5)
+        y = rng.integers(0, 3, size=30)
+        cols = rng.integers(0, 2**21, size=(3, 30))
+        cols[:, 0] = 2**21
+        with mock.patch.object(infotheory, "_dense", wraps=_dense) as dense:
+            got = _conditional_entropies(y, cols, [[0, 1, 2]], first_seen)[0]
+        assert [np.ndim(c.args[0]) for c in dense.call_args_list] == [1, 2]
+        with mock.patch.object(infotheory, "_batch_entropies", oracle_batch_entropies):
+            want = _conditional_entropies(y, cols, [[0, 1, 2]], first_seen)[0]
+        assert float(got).hex() == float(want).hex()
+        if first_seen:
+            assert float(got).hex() == float(oracle_joint_conditional_entropy(y, cols)).hex()
+
+    @pytest.mark.parametrize("cells", [64, 1 << 14])
+    def test_count_arrays_stay_within_the_bound(self, cells):
+        """Order-3 sets of radix 2 to 12 over 50 rows bring id spaces from
+        below to far above _SPACE_PER_CELL ids per cell."""
+        rng = np.random.default_rng(6)
+        y = rng.integers(0, 5, size=50)
+        cols = np.array([rng.integers(0, r, size=50) for r in range(2, 13)])
+        sets = list(combinations(range(len(cols)), 3))
+        with with_batch_cells(cells), counted("bincount") as bincount, \
+                counted("full") as full:
+            got = _conditional_entropies(y, cols, sets)
+        sizes = [c.args[0].max() + 1 for c in bincount.call_args_list]
+        sizes += [c.args[0] for c in full.call_args_list]
+        assert max(sizes) <= infotheory._SPACE_PER_CELL * cells
+        want = [oracle_joint_conditional_entropy(y, cols[list(s)]) for s in sets]
+        assert hexes(got) == hexes(want)
 
 
 class TestSortedOrder:
