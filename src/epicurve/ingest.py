@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
@@ -198,40 +199,35 @@ def parse_case_series(path) -> CaseCounts:
 
 
 def parse_unit_metadata(path) -> dict[str, UnitMeta]:
-    """Read the metadata CSV into a registry keyed by unit_id."""
+    """Read the metadata CSV into a registry keyed by unit_id. Blank lines are
+    skipped and not numbered; a repeated column name resolves to its last copy."""
     out: dict[str, UnitMeta] = {}
     with _open_input(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(META_COLUMNS).issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader, None) or ())}
+        if not index.keys() >= set(META_COLUMNS):
             raise DataError(f"{path}: unexpected metadata header")
-        for row_no, row in enumerate(reader, start=2):
-            missing = [c for c in META_COLUMNS if row[c] is None]
-            if missing:
+        at = [index[c] for c in META_COLUMNS]
+        cells = operator.itemgetter(*at)
+        for row_no, row in enumerate(filter(None, reader), start=2):
+            if len(row) <= max(at):
+                missing = [c for c, i in zip(META_COLUMNS, at) if i >= len(row)]
                 raise DataError(f"row {row_no}: missing {', '.join(missing)}")
-            unit = row["unit_id"].strip()
+            unit, city, letter, age_raw, pop_raw, region, status = cells(row)
+            unit, age_raw = unit.strip(), age_raw.strip()
             if unit in out:
                 raise DataError(f"row {row_no}: duplicate unit {unit!r}")
-            age_raw = (row["age_group"] or "").strip()
             try:
                 age = int(age_raw) if age_raw else None
             except ValueError as exc:
                 raise DataError(f"row {row_no}: bad age_group {age_raw!r}") from exc
             try:
-                population = int(row["population"])
+                population = int(pop_raw)
             except ValueError as exc:
-                raise DataError(
-                    f"row {row_no}: bad population {row['population']!r}"
-                ) from exc
+                raise DataError(f"row {row_no}: bad population {pop_raw!r}") from exc
             try:
-                out[unit] = UnitMeta(
-                    unit_id=unit,
-                    city_code=row["city_code"].strip(),
-                    district_letter=row["district_letter"].strip(),
-                    population=population,
-                    region=row["region"].strip(),
-                    status=row["status"].strip(),
-                    age_group=age,
-                )
+                out[unit] = UnitMeta(unit, city.strip(), letter.strip(), population,
+                                     region.strip(), status.strip(), age)
             except DataError as exc:
                 raise DataError(f"row {row_no}: {exc}") from exc
     return out

@@ -352,8 +352,9 @@ def _write_matrix(cfg: PipelineConfig, name: str, corner: str, header, labels,
 
 def _read_table(path: str, columns, parse):
     """(unit_ids, {column: array}) of a _write_table CSV, ``parse(column, text)``
-    reading each cell of ``columns`` (None: every column but unit_id). The
-    header must hold the columns and every row its width; blank lines are skipped."""
+    reading each distinct text of ``columns`` (None: every column but unit_id)
+    once. The header must hold the columns and every row its width; blank lines
+    are skipped, and the first bad cell in row order is reported."""
     with _open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None) or []
@@ -366,17 +367,25 @@ def _read_table(path: str, columns, parse):
             raise DataError(f"{path}: row {row_no} has {len(row)} cells, "
                             f"expected {len(header)}")
     index = {c: i for i, c in enumerate(header)}
-    cols = [(c, index[c], []) for c in columns or index if c != "unit_id"]
-    units = []
-    for row_no, row in enumerate(rows, start=2):
-        units.append(row[index["unit_id"]])
-        for c, i, values in cols:
+    names = [c for c in columns or index if c != "unit_id"]
+    cells = list(zip(*rows)) or [()] * len(header)
+    memos = {c: {} for c in names}
+    bad = {}  # (column, text) -> the ValueError its parse raised
+    for c, memo in memos.items():
+        for text in set(cells[index[c]]):
             try:
-                values.append(parse(c, row[i]))
+                memo[text] = parse(c, text)
             except ValueError as exc:
-                raise DataError(
-                    f"{path}: row {row_no}: unparseable {c} {row[i]!r}") from exc
-    return units, {c: np.array(values) for c, _, values in cols}
+                bad[c, text] = exc
+    if bad:  # find the first bad cell in row order
+        for row_no, row in enumerate(rows, start=2):
+            for c in names:
+                if (c, row[index[c]]) in bad:
+                    raise DataError(f"{path}: row {row_no}: unparseable {c} "
+                                    f"{row[index[c]]!r}") from bad[c, row[index[c]]]
+    return list(cells[index["unit_id"]]), {
+        c: np.array(list(map(memo.__getitem__, cells[index[c]])))
+        for c, memo in memos.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +500,17 @@ def stage_associate(cfg: PipelineConfig) -> list[str]:
     return written
 
 
+def _category_value(column: str, text: str) -> int:
+    """A categorical.csv cell: an integer that fits the int64 codes of a scan."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(text)
+    return value
+
+
 def read_categorical_csv(path: str):
     """Read categorical.csv into (unit_ids, {column: int array})."""
-    return _read_table(path, None, lambda column, text: int(text))
+    return _read_table(path, None, _category_value)
 
 
 # ---------------------------------------------------------------------------

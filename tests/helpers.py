@@ -31,7 +31,7 @@ from epicurve.infotheory import (
     entropy,
     rescaled_ce,
 )
-from epicurve.ingest import CaseCounts, RateSeries, UnitMeta
+from epicurve.ingest import META_COLUMNS, CaseCounts, RateSeries, UnitMeta, _open_input
 from epicurve.major_factor import NullDropStats, _encode, _marginal_entropy
 
 START = dt.date(2022, 3, 25)
@@ -547,6 +547,73 @@ def oracle_parse_case_series(path) -> dict[str, RawSeries]:
         counts = tuple(days[start + dt.timedelta(days=i)] for i in range(len(ordered)))
         out[unit] = RawSeries(unit_id=unit, start_date=start, counts=counts)
     return out
+
+
+def oracle_parse_unit_metadata(path) -> dict[str, UnitMeta]:
+    """Metadata CSV parse with csv.DictReader, one dict per row."""
+    out: dict[str, UnitMeta] = {}
+    with _open_input(path) as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(META_COLUMNS).issubset(reader.fieldnames):
+            raise DataError(f"{path}: unexpected metadata header")
+        for row_no, row in enumerate(reader, start=2):
+            missing = [c for c in META_COLUMNS if row[c] is None]
+            if missing:
+                raise DataError(f"row {row_no}: missing {', '.join(missing)}")
+            unit = row["unit_id"].strip()
+            if unit in out:
+                raise DataError(f"row {row_no}: duplicate unit {unit!r}")
+            age_raw = (row["age_group"] or "").strip()
+            try:
+                age = int(age_raw) if age_raw else None
+            except ValueError as exc:
+                raise DataError(f"row {row_no}: bad age_group {age_raw!r}") from exc
+            try:
+                population = int(row["population"])
+            except ValueError as exc:
+                raise DataError(
+                    f"row {row_no}: bad population {row['population']!r}"
+                ) from exc
+            try:
+                out[unit] = UnitMeta(
+                    unit_id=unit,
+                    city_code=row["city_code"].strip(),
+                    district_letter=row["district_letter"].strip(),
+                    population=population,
+                    region=row["region"].strip(),
+                    status=row["status"].strip(),
+                    age_group=age,
+                )
+            except DataError as exc:
+                raise DataError(f"row {row_no}: {exc}") from exc
+    return out
+
+
+def oracle_read_table(path: str, columns, parse):
+    """_read_table with one ``parse(column, text)`` call per cell, in row order."""
+    with _open_input(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        rows = [row for row in reader if row]
+    missing = [c for c in ["unit_id", *(columns or ())] if c not in header]
+    if missing:
+        raise DataError(f"{path}: header lacks {', '.join(missing)}")
+    for row_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {row_no} has {len(row)} cells, "
+                            f"expected {len(header)}")
+    index = {c: i for i, c in enumerate(header)}
+    cols = [(c, index[c], []) for c in columns or index if c != "unit_id"]
+    units = []
+    for row_no, row in enumerate(rows, start=2):
+        units.append(row[index["unit_id"]])
+        for c, i, values in cols:
+            try:
+                values.append(parse(c, row[i]))
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}: row {row_no}: unparseable {c} {row[i]!r}") from exc
+    return units, {c: np.array(values) for c, _, values in cols}
 
 
 def oracle_discretize(values, n_bins: int = 4):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicurve.errors import DataError
-from epicurve.ingest import UnitMeta, parse_case_series, parse_unit_metadata
+from epicurve.ingest import META_COLUMNS, UnitMeta, parse_case_series, parse_unit_metadata
 
 from helpers import (
     RawSeries,
@@ -14,6 +14,7 @@ from helpers import (
     compute_daily_rates,
     end_date,
     oracle_parse_case_series,
+    oracle_parse_unit_metadata,
     window_clip,
     write_case_series,
 )
@@ -262,6 +263,59 @@ def test_parse_metadata_bad_region(tmp_path):
     p.write_text(META_HEADER + "\nTPa,TP,a,2,100,West,Urban\n")
     with pytest.raises(DataError, match="region"):
         parse_unit_metadata(p)
+
+
+#: Per metadata column, texts every check accepts and texts some check rejects.
+META_CELLS = {
+    "city_code": (["TP", " NT"], []),
+    "district_letter": (["a", "b "], []),
+    "age_group": (["", " ", "1", " 4"], ["0", "5", "x", "1.0"]),
+    "population": (["100", " 2600000", "9223372036854775807"],
+                   ["0", "-5", "", "x", "1.5", "9223372036854775808", "99999999999999999999"]),
+    "region": (["North", " South"], ["West", ""]),
+    "status": (["Urban", "Suburban "], ["Rural"]),
+    "note": (["", "x"], []),
+}
+
+
+@st.composite
+def metadata_lines(draw):
+    """A metadata header in any order, perhaps with an extra, repeated or
+    missing column, and rows of valid cells, some with one or two faults:
+    bad cells, a repeated unit, a cut or an extra cell; and blank lines."""
+    header = list(META_COLUMNS) + draw(st.lists(st.sampled_from(
+        ["note", "unit_id", "population", "region"]), max_size=2))
+    if draw(st.integers(0, 19)) == 7:  # 0 would be drawn far more often
+        header.remove(draw(st.sampled_from(META_COLUMNS)))
+    header = draw(st.permutations(header))
+    lines = []
+    for i in range(draw(st.integers(0, 6))):
+        row = [draw(st.sampled_from([f"u{i}", f" u{i}"])) if name == "unit_id"
+               else draw(st.sampled_from(META_CELLS[name][0])) for name in header]
+        faults = draw(st.lists(st.sampled_from(["age_group", "population", "region",
+                                                "status", "unit", "cut", "extra"]),
+                               max_size=2, unique=True))
+        for j, name in enumerate(header):
+            if name in faults and draw(st.booleans()):
+                row[j] = draw(st.sampled_from(META_CELLS[name][1]))
+        if "unit" in faults and "unit_id" in header:
+            row[header.index("unit_id")] = f"u{draw(st.integers(0, i))} "
+        if "cut" in faults:
+            row = row[:draw(st.integers(1, len(row)))]
+        if "extra" in faults:
+            row += ["extra"]
+        lines.append(",".join(row))
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(at, "")
+    return [",".join(header)] + lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(metadata_lines())
+def test_parse_unit_metadata_matches_dict_reader_oracle(tmp_path_factory, lines):
+    p = tmp_path_factory.mktemp("meta") / "m.csv"
+    p.write_text("\n".join(lines) + "\n")
+    assert run_parse(parse_unit_metadata, p) == run_parse(oracle_parse_unit_metadata, p)
 
 
 def meta(pop=100000, unit="TPa"):

@@ -600,6 +600,23 @@ def _bad_second_cell(text):
     return "".join(lines)
 
 
+def _with_cell(text, column, value):
+    """``text`` with row 2's cell of ``column`` set to ``value``."""
+    lines = text.splitlines(keepends=True)
+    cells = lines[1].rstrip("\n").split(",")
+    cells[lines[0].rstrip("\n").split(",").index(column)] = value
+    lines[1] = ",".join(cells) + "\n"
+    return "".join(lines)
+
+
+def _oversized_left80(text):
+    return _with_cell(text, "left80", "99999999999999999999")
+
+
+def _oversized_fusion_label(text):
+    return _with_cell(text, "left30to70", "99999999999999999999")
+
+
 CORRUPT_INPUTS = [
     ("features", "cases.csv", _drop_count_cell, "data error: row 3: missing count"),
     ("features", "cases.csv", _unit_id_only, "data error: row 3: missing date, count"),
@@ -624,6 +641,14 @@ CORRUPT_INPUTS = [
      r"categorical.csv: row 21 has \d+ cells, expected 20"),
     ("report", "out/categorical.csv", _bad_second_cell,
      "categorical.csv: row 4: unparseable peakdate 'x"),
+    ("select", "out/categorical.csv", _oversized_left80,
+     "categorical.csv: row 2: unparseable left80 '99999999999999999999'"),
+    ("select", "out/fused.csv", _oversized_fusion_label,
+     "fused.csv: row 2: unparseable left30to70 '99999999999999999999'"),
+    ("report", "out/categorical.csv", _oversized_left80,
+     "categorical.csv: row 2: unparseable left80 '99999999999999999999'"),
+    ("report", "out/fused.csv", _oversized_fusion_label,
+     "fused.csv: row 2: unparseable left30to70 '99999999999999999999'"),
 ]
 
 
