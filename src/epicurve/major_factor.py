@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,8 +47,6 @@ class FeatureSetResult:
     rescaled_ce: float
     ce_drop: float
     sce_drop: float
-    significant: Optional[bool] = None
-    classification: Optional[str] = None
 
 
 @dataclass(frozen=True)

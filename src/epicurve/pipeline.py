@@ -353,8 +353,9 @@ def _write_matrix(cfg: PipelineConfig, name: str, corner: str, header, labels,
 def _read_table(path: str, columns, parse):
     """(unit_ids, {column: array}) of a _write_table CSV, ``parse(column, text)``
     reading each distinct text of ``columns`` (None: every column but unit_id)
-    once. The header must hold the columns and every row its width; blank lines
-    are skipped, and the first bad cell in row order is reported."""
+    once. The header must hold the columns, and every row its width and a unit
+    id of its own; blank lines are skipped, and the first bad cell in row order
+    is reported."""
     with _open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None) or []
@@ -369,6 +370,11 @@ def _read_table(path: str, columns, parse):
     index = {c: i for i, c in enumerate(header)}
     names = [c for c in columns or index if c != "unit_id"]
     cells = list(zip(*rows)) or [()] * len(header)
+    seen = set()
+    for row_no, unit in enumerate(cells[index["unit_id"]], start=2):
+        if unit in seen:
+            raise DataError(f"{path}: row {row_no}: duplicate unit {unit!r}")
+        seen.add(unit)
     memos = {c: {} for c in names}
     bad = {}  # (column, text) -> the ValueError its parse raised
     for c, memo in memos.items():
@@ -579,51 +585,30 @@ def _scan_inputs(cfg: PipelineConfig):
                {c: _column("candidate", c, cat_columns) for c in spec.candidates})
 
 
-def _scan_response(spec: ResponseSpec, y, candidates, orders: dict):
-    """Run the order-1/2/3 scans plus nulls and classification for one response."""
-    scan1, scan2, scan3 = (major_factor.scan(y, candidates, spec.order)
-                           + [[]] * (3 - spec.order))
-    names = sorted(candidates)
-    nulls = dict(zip(names, major_factor.noise_thresholds(
-        y, [], [candidates[c] for c in names], spec.replicates,
-        range(spec.seed, spec.seed + len(names)), orders)))
-    annotated1 = []
-    for r in scan1:
-        sig = r.ce_drop > nulls[r.feature_names[0]].q95 + major_factor.EPS
-        annotated1.append(dataclasses.replace(
-            r, significant=sig,
-            classification=major_factor.ORDER1 if sig else major_factor.INSIGNIFICANT,
-        ))
-
-    annotated2 = []
-    by_name = {r.feature_names[0]: r for r in annotated1}
-    for r in scan2:
-        a, b = r.feature_names
-        annotated2.append(dataclasses.replace(
-            r,
-            significant=r.sce_drop > max(nulls[a].q95, nulls[b].q95) + major_factor.EPS,
-            classification=major_factor.classify_pair(
-                r, by_name[a], by_name[b], nulls[a], nulls[b]),
-        ))
-
-    return annotated1, annotated2, scan3, nulls
-
-
 SCAN_COLUMNS = ("features", "ce", "rescaled_ce", "ce_drop", "sce_drop",
                 "null_mean", "null_q95", "significant", "classification")
 
 
 def _scan_rows(scans, nulls):
-    for r in scans:
-        null = nulls[r.feature_names[0]] if len(r.feature_names) == 1 else None
-        yield [
-            "_".join(r.feature_names),
-            f"{r.ce:.6f}", f"{r.rescaled_ce:.6f}",
-            f"{r.ce_drop:.6f}", f"{r.sce_drop:.6f}",
-            f"{null.mean:.6f}" if null else "", f"{null.q95:.6f}" if null else "",
-            "" if r.significant is None else str(bool(r.significant)).lower(),
-            r.classification or "",
-        ]
+    """scan CSV rows of every level in order. A single shows its own null and is
+    significant when its CE-drop beats that null's q95; a pair is significant when
+    its SCE-drop beats the larger of its members' q95s, and classify_pair classes
+    it; a triple is descriptive only and leaves the four null cells empty."""
+    singles = {r.feature_names[0]: r for r in scans[0]}
+    for r in (r for level in scans for r in level):
+        names, judged = r.feature_names, ["", "", "", ""]
+        if len(names) == 1:
+            null = nulls[names[0]]
+            sig = r.ce_drop > null.q95 + major_factor.EPS
+            judged = [f"{null.mean:.6f}", f"{null.q95:.6f}", str(sig).lower(),
+                      major_factor.ORDER1 if sig else major_factor.INSIGNIFICANT]
+        elif len(names) == 2:
+            a, b = names
+            sig = r.sce_drop > max(nulls[a].q95, nulls[b].q95) + major_factor.EPS
+            judged = ["", "", str(sig).lower(), major_factor.classify_pair(
+                r, singles[a], singles[b], nulls[a], nulls[b])]
+        yield ["_".join(names), f"{r.ce:.6f}", f"{r.rescaled_ce:.6f}", f"{r.ce_drop:.6f}",
+               f"{r.sce_drop:.6f}", *judged]
 
 
 def stage_select(cfg: PipelineConfig) -> list[str]:
@@ -633,22 +618,22 @@ def stage_select(cfg: PipelineConfig) -> list[str]:
                 for i in range(len(spec.candidates))}
     orders, written = {}, []
     for k, (spec, y, candidates) in enumerate(_scan_inputs(cfg)):
-        scan1, scan2, scan3, nulls = _scan_response(spec, y, candidates, orders)
+        scans, names = major_factor.scan(y, candidates, spec.order), sorted(candidates)
+        nulls = dict(zip(names, major_factor.noise_thresholds(
+            y, [], [candidates[c] for c in names], spec.replicates,
+            range(spec.seed, spec.seed + len(names)), orders)))
         orders = {key: v for key, v in orders.items() if last_use[key] > k}
-        written.append(_write_csv(
-            cfg, f"scan_{spec.response}.csv",
-            SCAN_COLUMNS,
-            _scan_rows(scan1 + scan2 + scan3, nulls)))
-        written.extend(_write_reports(cfg, spec.response, scan1, scan2,
-                                      spec.top, spec.bottom))
+        written.append(_write_csv(cfg, f"scan_{spec.response}.csv", SCAN_COLUMNS,
+                                  _scan_rows(scans, nulls)))
+        written.extend(_write_reports(cfg, spec.response, scans, spec.top, spec.bottom))
     return written
 
 
-def _write_reports(cfg, response, scan1, scan2, top, bottom) -> list[str]:
-    if not (scan1 and scan2):
+def _write_reports(cfg, response, scans, top, bottom) -> list[str]:
+    if len(scans) < 2 or not scans[1]:
         return []
     return [_write(cfg, f"report_{response}.{ext}",
-                   major_factor.factor_report(scan1, scan2, top, bottom, markdown=md))
+                   major_factor.factor_report(scans[0], scans[1], top, bottom, markdown=md))
             for ext, md in (("txt", False), ("md", True))]
 
 
@@ -698,9 +683,8 @@ def stage_report(cfg: PipelineConfig, top: Optional[int] = None,
     inputs select reads; a report shows no null, so none is drawn."""
     written = []
     for spec, y, candidates in _scan_inputs(cfg):
-        scan1, scan2 = (major_factor.scan(y, candidates, min(spec.order, 2)) + [[]])[:2]
         written.extend(_write_reports(
-            cfg, spec.response, scan1, scan2,
+            cfg, spec.response, major_factor.scan(y, candidates, min(spec.order, 2)),
             spec.top if top is None else top,
             spec.bottom if bottom is None else bottom,
         ))

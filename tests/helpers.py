@@ -603,10 +603,12 @@ def oracle_read_table(path: str, columns, parse):
             raise DataError(f"{path}: row {row_no} has {len(row)} cells, "
                             f"expected {len(header)}")
     index = {c: i for i, c in enumerate(header)}
+    units = [row[index["unit_id"]] for row in rows]
+    for row_no, unit in enumerate(units, start=2):
+        if unit in units[:row_no - 2]:
+            raise DataError(f"{path}: row {row_no}: duplicate unit {unit!r}")
     cols = [(c, index[c], []) for c in columns or index if c != "unit_id"]
-    units = []
     for row_no, row in enumerate(rows, start=2):
-        units.append(row[index["unit_id"]])
         for c, i, values in cols:
             try:
                 values.append(parse(c, row[i]))

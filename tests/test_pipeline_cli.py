@@ -617,6 +617,11 @@ def _oversized_fusion_label(text):
     return _with_cell(text, "left30to70", "99999999999999999999")
 
 
+def _repeated_row(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines + lines[1:2])
+
+
 CORRUPT_INPUTS = [
     ("features", "cases.csv", _drop_count_cell, "data error: row 3: missing count"),
     ("features", "cases.csv", _unit_id_only, "data error: row 3: missing date, count"),
@@ -649,6 +654,10 @@ CORRUPT_INPUTS = [
      "categorical.csv: row 2: unparseable left80 '99999999999999999999'"),
     ("report", "out/fused.csv", _oversized_fusion_label,
      "fused.csv: row 2: unparseable left30to70 '99999999999999999999'"),
+    ("associate", "out/features.csv", _repeated_row,
+     "features.csv: row 22: duplicate unit 'KSa12'"),
+    ("select", "out/categorical.csv", _repeated_row,
+     "categorical.csv: row 22: duplicate unit 'KSa12'"),
 ]
 
 
@@ -867,6 +876,46 @@ def test_select_draws_each_null_order_once(synthetic_dir, tmp_path):
     with mock.patch.object(major_factor, "noise_thresholds", oracle_noise_thresholds):
         want = _scan_bytes(data, tmp_path / "oracle")
     assert list(got) == ["scan_region.csv", "scan_status.csv"] and got == want
+
+
+def test_scan_rows_judged_against_recomputed_nulls(synthetic_dir, tmp_path):
+    """Each row of an order-3 scan CSV against noise_threshold and classify_pair
+    run here: a single is judged by its own null, a pair by the larger of its
+    members' q95s, and a triple leaves the four null cells empty."""
+    data = _select_data(synthetic_dir, [("region", 5, 3, 30)])
+    cfg = pipeline.config_from_dict({**data, "output": str(tmp_path / "out")})
+    pipeline.run_pipeline(cfg)
+    ((_spec, y, candidates),) = pipeline._scan_inputs(cfg)
+    results = {"_".join(r.feature_names): r
+               for level in major_factor.scan(y, candidates, 3) for r in level}
+    nulls = {c: major_factor.noise_threshold(y, [], candidates[c], 30, 5 + i)
+             for i, c in enumerate(sorted(candidates))}
+    with open(tmp_path / "out" / "scan_region.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(row["features"] for row in rows) == sorted(results)
+    judged = ("null_mean", "null_q95", "significant", "classification")
+    seen = set()
+    for row in rows:
+        r = results[row["features"]]
+        if len(r.feature_names) == 1:
+            null = nulls[r.feature_names[0]]
+            sig = r.ce_drop > null.q95 + major_factor.EPS
+            want = [f"{null.mean:.6f}", f"{null.q95:.6f}", str(sig).lower(),
+                    major_factor.ORDER1 if sig else major_factor.INSIGNIFICANT]
+        elif len(r.feature_names) == 2:
+            a, b = r.feature_names
+            sig = r.sce_drop > max(nulls[a].q95, nulls[b].q95) + major_factor.EPS
+            want = ["", "", str(sig).lower(), major_factor.classify_pair(
+                r, results[a], results[b], nulls[a], nulls[b])]
+        else:
+            want = ["", "", "", ""]
+        assert [row[c] for c in judged] == want, row["features"]
+        seen.add((len(r.feature_names), *want[2:]))
+    # both verdicts of a single, all four pair classes, and the triples occur
+    assert {(1, "true", major_factor.ORDER1), (1, "false", major_factor.INSIGNIFICANT),
+            (2, "true", major_factor.ORDER2_INTERACTION), (2, "true", major_factor.ORDER1_PAIR),
+            (2, "false", major_factor.REDUNDANT), (2, "false", major_factor.INSIGNIFICANT),
+            (3, "", "")} <= seen
 
 
 def test_null_seeds_crossing_two_to_the_32(synthetic_dir, tmp_path):

@@ -1,6 +1,6 @@
 """Every public function and class of the package is used by the package
 itself or by the acceptance suite; code that only tests call lives in
-``helpers.py``.
+``helpers.py``. Every import of a package module is used in that module.
 
 Public names are found by inspecting the imported modules, and uses by
 walking the syntax trees of the package sources and of
@@ -42,12 +42,36 @@ def used_names(tree: ast.Module) -> set[str]:
     return out
 
 
+def package_sources() -> list[Path]:
+    return [Path(epicurve.__file__).with_name(f"{info.name}.py")
+            for info in pkgutil.iter_modules(epicurve.__path__)]
+
+
 def test_every_public_name_is_used_outside_tests():
-    sources = [Path(epicurve.__file__).with_name(f"{info.name}.py")
-               for info in pkgutil.iter_modules(epicurve.__path__)]
     used = used_names(ast.parse(ACCEPTANCE.read_text()))
-    for path in sources:
+    for path in package_sources():
         used |= used_names(ast.parse(path.read_text()))
     unused = [f"{module}.{name}" for module, name in public_definitions()
               if name not in used]
     assert unused == [], "only tests use these; move them to tests/helpers.py"
+
+
+def imported_names(tree: ast.Module):
+    """(line, bound name) of each import in a module, ``__future__`` ones aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in package_sources():
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for line, name in imported_names(tree)
+                   if name not in loaded]
+    assert unused == []

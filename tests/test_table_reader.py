@@ -101,6 +101,14 @@ class TestMatchesPerCellOracle:
         assert got == outcome(oracle_read_table, *args)
         assert got == (f"{path}: row 4 has 2 cells, expected 3", type(None))
 
+    def test_a_repeated_unit_beats_an_earlier_bad_cell(self, tmp_path):
+        path = tmp_path / "categorical.csv"
+        path.write_text("unit_id,a\nu0,x\nu1,1\n\nu0,2\nu1,3\n")
+        args = (path, None, pipeline._category_value)
+        got = outcome(pipeline._read_table, *args)
+        assert got == outcome(oracle_read_table, *args)
+        assert got == (f"{path}: row 4: duplicate unit 'u0'", type(None))
+
 
 @pytest.fixture(scope="module")
 def cohort_artifacts(tmp_path_factory):
