@@ -29,12 +29,9 @@ from .errors import ComputationError
 class FusedFeature:
     """K-means labels of a feature block, plus the fit that produced them."""
 
-    name: str
     source_columns: tuple[str, ...]
-    k: int
     labels: np.ndarray  # per-row label in 0..k, 0 = row had NA
     centroids: np.ndarray  # (k, d) in standardized source space
-    seed: int
     inertia: float
 
 
@@ -50,10 +47,6 @@ class HCTree:
     merges: tuple[tuple[int, int, int, float], ...]
 
     @property
-    def n_leaves(self) -> int:
-        return len(self.leaf_labels)
-
-    @property
     def root(self) -> int:
         return self.merges[-1][0]
 
@@ -63,10 +56,9 @@ class HCTree:
 
 @dataclass(frozen=True)
 class LeafCodes:
-    """Per-leaf binary path codes and the common-prefix similarity matrix."""
+    """Common-prefix similarity of the leaves' binary path codes."""
 
     leaf_labels: tuple[str, ...]
-    codes: tuple[str, ...]
     similarity: np.ndarray  # (n, n) ints
     leaf_order: tuple[int, ...]  # left-to-right traversal order
 
@@ -200,15 +192,8 @@ def kmeans_fuse(
 
     full = np.zeros(matrix.shape[0], dtype=int)
     full[complete] = remap[labels]
-    return FusedFeature(
-        name=name,
-        source_columns=tuple(column_names),
-        k=k,
-        labels=full,
-        centroids=centroids[order],
-        seed=seed,
-        inertia=float(inertia),
-    )
+    return FusedFeature(source_columns=tuple(column_names), labels=full,
+                        centroids=centroids[order], inertia=float(inertia))
 
 
 def hcluster_ward(
@@ -270,46 +255,37 @@ def hcluster_ward(
 
 
 def leaf_codes(tree: HCTree) -> LeafCodes:
-    """Binary path codes (left=0, right=1) and common-prefix similarity.
+    """Common-prefix similarity of the binary path codes (left=0, right=1).
 
-    In traversal order the codes are sorted, so leaves p < q of that order
-    share the smallest common prefix of the adjacent pairs between them:
-    each similarity row is one running minimum.
+    A leaf's code is as long as its depth, so no code is built. In traversal
+    order the codes are sorted, so leaves p < q of that order share the
+    smallest common prefix of the adjacent pairs between them: each
+    similarity row is one running minimum.
     """
     children = tree.children()
-    codes: dict[int, str] = {}
-    order: list[int] = []
-    # shared[p]: common-prefix length of traversal leaves p - 1 and p. A right
-    # child's first leaf shares its parent's prefix with the leaf before it; a
-    # left child's first leaf is its parent's.
-    shared: list[int] = []
-
-    stack = [(tree.root, "", 0)]
+    # (leaf, depth, common-prefix length with the leaf before it) in traversal
+    # order. A right child's first leaf shares its parent's depth with the leaf
+    # before it; a left child's first leaf shares its parent's.
+    leaves = []
+    stack = [(tree.root, 0, 0)]
     while stack:
-        node, prefix, lcp = stack.pop()
+        node, depth, lcp = stack.pop()
         if node in children:
             left, right = children[node]
             # push right first so left is visited first
-            stack.append((right, prefix + "1", len(prefix)))
-            stack.append((left, prefix + "0", lcp))
+            stack.append((right, depth + 1, depth))
+            stack.append((left, depth + 1, lcp))
         else:
-            codes[node] = prefix
-            order.append(node)
-            shared.append(lcp)
+            leaves.append((node, depth, lcp))
+    order, depths, shared = zip(*leaves)
 
-    n = tree.n_leaves
     adjacent = np.array(shared[1:], dtype=int)
-    tsim = np.diag(np.array([len(codes[i]) for i in order], dtype=int))
-    for p in range(n - 1):
+    tsim = np.diag(np.array(depths, dtype=int))
+    for p in range(len(order) - 1):
         tsim[p, p + 1:] = tsim[p + 1:, p] = np.minimum.accumulate(adjacent[p:])
     sim = np.empty_like(tsim)
     sim[np.ix_(order, order)] = tsim
-    return LeafCodes(
-        leaf_labels=tree.leaf_labels,
-        codes=tuple(codes[i] for i in range(n)),
-        similarity=sim,
-        leaf_order=tuple(order),
-    )
+    return LeafCodes(leaf_labels=tree.leaf_labels, similarity=sim, leaf_order=order)
 
 
 #: Heatmap cell side and the margin left for unit labels, in SVG pixels.

@@ -51,13 +51,10 @@ class FeatureSetResult:
 
 @dataclass(frozen=True)
 class NullDropStats:
-    """Permutation-null distribution of the entropy drop from one candidate."""
+    """Mean and 95th percentile of the permutation-null entropy drop from one candidate."""
 
-    replicates: int
     mean: float
-    sd: float
     q95: float
-    seed: int
 
 
 def _encode(y: Sequence[int], cols) -> tuple[np.ndarray, np.ndarray]:
@@ -217,9 +214,8 @@ def noise_thresholds(y: Sequence[int], existing: Sequence[Sequence[int]],
         sets = np.column_stack([np.tile(np.arange(e), (len(c), 1)), e + np.arange(len(c))])
         drops.flat[lo:lo + len(c)] = base - _conditional_entropies(
             y, np.vstack([columns[:e], columns[e + c[:, None], rows]]), sets)
-    stats = zip(drops.mean(axis=1).tolist(), drops.std(axis=1).tolist(),
-                np.percentile(drops, 95, axis=1).tolist(), seeds)
-    return [NullDropStats(replicates, mean, sd, q95, s) for mean, sd, q95, s in stats]
+    return [NullDropStats(mean, q95) for mean, q95 in zip(
+        drops.mean(axis=1).tolist(), np.percentile(drops, 95, axis=1).tolist())]
 
 
 def noise_threshold(y: Sequence[int], existing: Sequence[Sequence[int]], candidate: Sequence[int],

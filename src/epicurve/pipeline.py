@@ -668,9 +668,8 @@ def stage_cluster(cfg: PipelineConfig) -> list[str]:
                                   *_similarity_table(codes)))
         written.append(_write(cfg, f"heatmap_{spec.name}.svg",
                               cluster_fuse.similarity_svg(codes)))
-        if excluded:
-            written.append(_write(cfg, f"excluded_{spec.name}.txt",
-                                  "\n".join(excluded) + "\n"))
+        written.append(_write(cfg, f"excluded_{spec.name}.txt",
+                              "".join(f"{u}\n" for u in excluded)))
     return written
 
 

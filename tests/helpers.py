@@ -353,13 +353,7 @@ def oracle_noise_threshold(y, existing, candidate, replicates: int = 200,
     sets = np.column_stack([np.tile(np.arange(e), (replicates, 1)),
                             e + np.arange(replicates)])
     drops = base - _conditional_entropies(y, np.vstack([columns[:e], *perms]), sets)
-    return NullDropStats(
-        replicates=replicates,
-        mean=float(drops.mean()),
-        sd=float(drops.std()),
-        q95=float(np.percentile(drops, 95)),
-        seed=seed,
-    )
+    return NullDropStats(mean=float(drops.mean()), q95=float(np.percentile(drops, 95)))
 
 
 def oracle_network_dot(names, matrix, tau: float, directed: bool, name: str) -> str:
@@ -718,15 +712,11 @@ def oracle_hcluster_ward(matrix, leaf_labels):
     return HCTree(leaf_labels=tuple(kept), merges=tuple(merges)), excluded
 
 
-def oracle_leaf_codes(tree):
-    """Leaf codes by one stack traversal, and their similarity by comparing
-    the two codes of every pair character by character."""
-    from epicurve.cluster_fuse import LeafCodes
-
+def oracle_codes(tree) -> dict[int, str]:
+    """{leaf: binary path code (left=0, right=1)} in left-to-right traversal
+    order, by one stack traversal."""
     children = tree.children()
     codes: dict[int, str] = {}
-    order: list[int] = []
-
     stack = [(tree.root, "")]
     while stack:
         node, prefix = stack.pop()
@@ -737,9 +727,16 @@ def oracle_leaf_codes(tree):
             stack.append((left, prefix + "0"))
         else:
             codes[node] = prefix
-            order.append(node)
+    return codes
 
-    n = tree.n_leaves
+
+def oracle_leaf_codes(tree):
+    """Leaf codes by one stack traversal, and their similarity by comparing
+    the two codes of every pair character by character."""
+    from epicurve.cluster_fuse import LeafCodes
+
+    codes = oracle_codes(tree)
+    n = len(tree.leaf_labels)
     code_list = tuple(codes[i] for i in range(n))
     sim = np.zeros((n, n), dtype=int)
     for u in range(n):
@@ -754,9 +751,8 @@ def oracle_leaf_codes(tree):
             sim[u, v] = sim[v, u] = m
     return LeafCodes(
         leaf_labels=tree.leaf_labels,
-        codes=code_list,
         similarity=sim,
-        leaf_order=tuple(order),
+        leaf_order=tuple(codes),
     )
 
 
@@ -801,7 +797,7 @@ def stage_tree_csv(tree) -> str:
             cases="unused", metadata="unused", output=out,
             clusterings=(pipeline.ClusteringSpec("t", ("left30",)),))
         open(os.path.join(out, "features.csv"), "w").close()
-        features = (list(tree.leaf_labels), {"left30": np.zeros(tree.n_leaves)})
+        features = (list(tree.leaf_labels), {"left30": np.zeros(len(tree.leaf_labels))})
         with mock.patch.object(pipeline, "read_features_csv", return_value=features), \
                 mock.patch.object(cluster_fuse, "hcluster_ward", return_value=(tree, [])):
             pipeline.stage_cluster(cfg)
@@ -917,6 +913,5 @@ def oracle_kmeans_fuse(matrix, column_names, name, k=4, seed=0, restarts=100):
     full = np.zeros(matrix.shape[0], dtype=int)
     full[complete] = [remap[int(lab)] for lab in labels]
     return cluster_fuse.FusedFeature(
-        name=name, source_columns=tuple(column_names), k=k, labels=full,
-        centroids=centroids[sorted(range(k), key=lambda c: remap[c])],
-        seed=seed, inertia=inertia)
+        source_columns=tuple(column_names), labels=full,
+        centroids=centroids[sorted(range(k), key=lambda c: remap[c])], inertia=inertia)

@@ -20,6 +20,7 @@ from epicurve.errors import ComputationError
 from epicurve.pipeline import _similarity_table
 from helpers import (
     naive_ward_reference,
+    oracle_codes,
     oracle_kmeans_fuse,
     oracle_leaf_codes,
     oracle_similarity_csv,
@@ -225,23 +226,22 @@ class TestLeafCodes:
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
         tree, _ = hcluster_ward(x, ["a", "b", "c", "d"])
         codes = leaf_codes(tree)
-        assert sorted(codes.codes) == ["00", "01", "10", "11"]
         sim = codes.similarity
+        assert np.diag(sim).tolist() == [2, 2, 2, 2]  # codes 00, 01, 10, 11
         assert sim[0, 1] == 1 and sim[2, 3] == 1
         assert sim[0, 2] == 0 and sim[0, 3] == 0 and sim[1, 2] == 0
 
     def test_two_leaves(self):
         tree, _ = hcluster_ward(np.array([[0.0], [1.0]]), ["a", "b"])
         codes = leaf_codes(tree)
-        assert sorted(codes.codes) == ["0", "1"]
         assert codes.similarity[0, 1] == 0
-        assert codes.similarity[0, 0] == 1
+        assert codes.similarity[0, 0] == codes.similarity[1, 1] == 1  # codes 0 and 1
 
     def test_self_similarity_is_code_length(self):
         rng = np.random.default_rng(2)
         tree = random_merge_tree(10, rng)
         codes = leaf_codes(tree)
-        for i, code in enumerate(codes.codes):
+        for i, code in oracle_codes(tree).items():
             assert codes.similarity[i, i] == len(code)
 
     def test_against_lca_depth_oracle(self):
@@ -335,10 +335,9 @@ def first_difference(got: str, want: str):
 
 
 def assert_render_matches_oracle(tree):
-    """Codes, order, similarity (values and dtype), CSV and SVG all equal
-    the per-pair and per-cell forms; the SVG parses as XML."""
+    """Order, similarity (values and dtype), CSV and SVG all equal the
+    per-pair and per-cell forms; the SVG parses as XML."""
     got, want = leaf_codes(tree), oracle_leaf_codes(tree)
-    assert got.codes == want.codes
     assert got.leaf_order == want.leaf_order
     assert got.similarity.dtype == want.similarity.dtype
     assert np.array_equal(got.similarity, want.similarity)
@@ -371,7 +370,7 @@ class TestRenderOracle:
         merges = [(8 + k, 2 * k, 2 * k + 1, 1.0) for k in range(4)]
         merges += [(12, 8, 9, 2.0), (13, 10, 11, 2.0), (14, 12, 13, 3.0)]
         tree = HCTree(tuple(f"u{i}" for i in range(8)), tuple(merges))
-        assert sorted(leaf_codes(tree).codes) == [f"{i:03b}" for i in range(8)]
+        assert np.diag(leaf_codes(tree).similarity).tolist() == [3] * 8  # codes 000 to 111
         assert_render_matches_oracle(tree)
 
     def test_caterpillar_has_the_deepest_codes(self):
@@ -379,7 +378,7 @@ class TestRenderOracle:
         merges = [(n, 0, 1, 1.0)]
         merges += [(n + k - 1, n + k - 2, k, float(k)) for k in range(2, n)]
         tree = HCTree(tuple(f"u{i}" for i in range(n)), tuple(merges))
-        assert len(leaf_codes(tree).codes[0]) == n - 1
+        assert leaf_codes(tree).similarity[0, 0] == n - 1
         assert_render_matches_oracle(tree)
 
 

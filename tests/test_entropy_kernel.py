@@ -300,7 +300,6 @@ class TestNoiseThreshold:
         ])
         stats = noise_threshold(y, [], x, replicates=60, seed=7)
         assert stats.mean == float(drops.mean())
-        assert stats.sd == float(drops.std())
         assert stats.q95 == float(np.percentile(drops, 95))
 
 
@@ -322,8 +321,8 @@ def null_cases(draw):
 
 
 def null_bits(stats):
-    """Each NullDropStats as its ints and the float.hex of its floats."""
-    return [(x.replicates, x.seed, *hexes([x.mean, x.sd, x.q95])) for x in stats]
+    """Each NullDropStats as the float.hex of its floats."""
+    return [hexes([x.mean, x.q95]) for x in stats]
 
 
 class TestBatchedNulls:

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 from xml.etree import ElementTree
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import epicurve
 from epicurve import major_factor, pipeline
@@ -622,10 +625,20 @@ def _repeated_row(text):
     return "".join(lines + lines[1:2])
 
 
+def _stray_quote(text):
+    """A line holding only `"` after row 2, followed by the data rows repeated
+    past csv's 128 KiB field limit."""
+    lines = text.splitlines(keepends=True)
+    rows = "".join(lines[1:])
+    return "".join(lines[:2]) + '"\n' + rows * (1 + (128 << 10) // len(rows))
+
+
 CORRUPT_INPUTS = [
     ("features", "cases.csv", _drop_count_cell, "data error: row 3: missing count"),
     ("features", "cases.csv", _unit_id_only, "data error: row 3: missing date, count"),
     ("features", "cases.csv", _oversized_count, "data error: row 3: count too large"),
+    ("features", "cases.csv", _stray_quote,
+     r"cannot read .*cases\.csv: field larger than field limit \(131072\)"),
     ("features", "meta.csv", _cut_after_population,
      "data error: row 2: missing region, status"),
     ("features", "meta.csv", _oversized_population,
@@ -751,6 +764,58 @@ def test_unreadable_input_is_a_data_error(synthetic_dir, tmp_path, stage, name,
                                      f".*{reason}")
 
 
+#: (stage, an input it reads) pairs the fuzz test damages.
+FUZZ_TARGETS = [("features", "cases.csv"), ("features", "meta.csv"),
+                *((stage, "out/features.csv") for stage in ("associate", "fuse", "cluster")),
+                *((stage, f"out/{name}.csv") for stage in ("select", "report")
+                  for name in ("categorical", "fused"))]
+
+
+@pytest.fixture(scope="module")
+def finished_run(synthetic_dir, tmp_path_factory):
+    """A copy of the synthetic inputs and config after a whole run."""
+    d = tmp_path_factory.mktemp("finished")
+    config = _copy_run(synthetic_dir, d, "out/features.csv")
+    return d, config.name
+
+
+def _damage(data: bytes, mutation: str, at: int, byte: int) -> bytes:
+    """``data`` truncated at, or with one byte replaced at, byte ``at``, or with
+    line ``at`` dropped or repeated, or a line holding `"` put before it
+    (``at`` taken modulo the length)."""
+    if mutation == "truncate":
+        return data[:at % (len(data) + 1)]
+    if mutation == "replace":
+        at %= len(data)
+        return data[:at] + bytes([byte]) + data[at + 1:]
+    lines = data.splitlines(keepends=True)
+    at %= len(lines) + (mutation == "quote")
+    insert = {"drop": [], "repeat": lines[at:at + 1] * 2, "quote": [b'"\n', *lines[at:at + 1]]}
+    return b"".join(lines[:at] + insert[mutation] + lines[at + 1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(FUZZ_TARGETS), copies=st.sampled_from([1, 3]),
+       mutation=st.sampled_from(["truncate", "replace", "drop", "repeat", "quote"]),
+       at=st.integers(0, 1 << 20), byte=st.integers(0, 255))
+@example(target=("features", "cases.csv"), copies=3, mutation="quote", at=2, byte=0)
+def test_damaged_input_never_ends_in_a_traceback(finished_run, target, copies,
+                                                 mutation, at, byte):
+    """One input, its data rows repeated ``copies`` times (so a stray quote
+    can reach past csv's 128 KiB field limit) and then damaged, makes a stage
+    that reads it succeed or exit 2, 3 or 4 with one line of error."""
+    (src, config), (stage, name) = finished_run, target
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src, tmp, dirs_exist_ok=True)
+        path = Path(tmp) / name
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(_damage(header + b"".join(rows) * copies, mutation, at, byte))
+        res = CliRunner().invoke(main, [stage, "--config", str(Path(tmp) / config)])
+    assert res.exit_code in (0, 2, 3, 4), repr(res.exception)
+    if res.exit_code:
+        assert res.output.endswith("\n") and res.output.count("\n") == 1, res.output
+
+
 def test_unit_labels_escaped_in_similarity_artifacts(synthetic_dir, tmp_path):
     with open(synthetic_dir / "meta.csv", newline="") as fh:
         first, second = [row[0] for row in csv.reader(fh)][1:3]
@@ -821,6 +886,21 @@ def test_too_few_ward_rows_names_the_clustering(synthetic_dir, tmp_path):
     res = CliRunner().invoke(main, ["cluster", "--config", str(config)])
     assert res.exit_code == 4, res.output
     assert "late: need at least 2 complete rows, got 0" in res.output
+
+
+def test_rerun_without_exclusions_empties_the_excluded_list(synthetic_dir, tmp_path):
+    """A rerun into the same output whose clustering keeps every row leaves
+    an empty excluded_<name>.txt, listed in the manifest, not the old list."""
+    config = _copy_run(synthetic_dir, tmp_path, "out/features.csv")
+    excluded = tmp_path / "out" / "excluded_left.txt"
+    assert excluded.read_text() == "TPh07\nTPj09\n"
+    data = yaml.safe_load(config.read_text())
+    data["clusterings"][0]["columns"] = ["peakvalue"]
+    config.write_text(yaml.safe_dump(data))
+    assert CliRunner().invoke(main, ["all", "--config", str(config)]).exit_code == 0
+    assert excluded.read_text() == ""
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert f"{hashlib.sha256(b'').hexdigest()}  excluded_left.txt" in manifest
 
 
 SELECT_CANDIDATES = ["peakdate", *SHAPE_FEATURES, "left30to70"]
