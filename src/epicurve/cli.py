@@ -30,16 +30,12 @@ EXIT_DATA = 3
 EXIT_COMPUTE = 4
 
 
-def _load(config_path: str, out: Optional[str]) -> pipeline.PipelineConfig:
-    cfg = pipeline.load_config(config_path)
-    if out:
-        cfg = dataclasses.replace(cfg, output=out)
-    return cfg
-
-
-def _run(fn, *args, **kwargs):
+def _run(fn, config_path: str, out: Optional[str], *args):
+    """``fn(cfg, *args)`` on the config, its output overridden by ``out``; each
+    package error ends in its exit code."""
     try:
-        fn(*args, **kwargs)
+        cfg = pipeline.load_config(config_path)
+        fn(dataclasses.replace(cfg, output=out) if out else cfg, *args)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -63,25 +59,12 @@ def main():
     """Infection-curve feature extraction and entropy-based analysis."""
 
 
-def _stage_command(name, stage_fn, help_text):
-    @main.command(name=name, help=help_text)
+for _name, _stage in pipeline.STAGES.items():
+    @main.command(name=_name, help=_stage.__doc__.splitlines()[0])
     @config_opt
     @out_opt
-    def cmd(config_path, out):
-        _run(lambda: stage_fn(_load(config_path, out)))
-    return cmd
-
-
-_stage_command("features", pipeline.stage_features,
-               "Extract per-unit curve features from the raw CSVs.")
-_stage_command("associate", pipeline.stage_associate,
-               "Discretize features and compute association matrices/networks.")
-_stage_command("select", pipeline.stage_select,
-               "Run major-factor scans for the configured responses.")
-_stage_command("fuse", pipeline.stage_fuse,
-               "K-means fuse feature blocks into categorical features.")
-_stage_command("cluster", pipeline.stage_cluster,
-               "Build Ward.D2 trees, leaf codes, and similarity heatmaps.")
+    def _command(config_path, out, stage=_stage):  # bound now, not at the loop's end
+        _run(stage, config_path, out)
 
 
 @main.command(help="Rewrite the ranked reports, recomputing the order-1/2 scans "
@@ -93,14 +76,14 @@ _stage_command("cluster", pipeline.stage_cluster,
 @click.option("--bottom", type=click.IntRange(min=0), default=None,
               help="Bottom-ranked rows to show.")
 def report(config_path, out, top, bottom):
-    _run(lambda: pipeline.stage_report(_load(config_path, out), top, bottom))
+    _run(pipeline.stage_report, config_path, out, top, bottom)
 
 
 @main.command(name="all", help="Run every stage and write the manifest.")
 @config_opt
 @out_opt
 def run_all(config_path, out):
-    _run(lambda: pipeline.run_pipeline(_load(config_path, out)))
+    _run(pipeline.run_pipeline, config_path, out)
 
 
 if __name__ == "__main__":

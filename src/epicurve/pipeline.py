@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
-import io
 import math
 import os
 import re
@@ -303,51 +302,54 @@ def _make_output(cfg: PipelineConfig, name: str) -> None:
         raise ConfigError(f"cannot write {os.path.join(cfg.output, name)}: {exc}") from exc
 
 
-def _write(cfg: PipelineConfig, name: str, text: str) -> str:
+def _write(cfg: PipelineConfig, name: str, fill) -> None:
+    """Write artifact ``name``: ``fill(fh)`` writes its text to a temp file, which
+    then replaces the artifact, so a failed write keeps the earlier one."""
     _make_output(cfg, name)
     path = os.path.join(cfg.output, name)
     tmp = os.path.join(cfg.output, f".{name}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fill(fh)
         os.replace(tmp, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    return path
 
 
-def _require(cfg: PipelineConfig, name: str, stage: str) -> str:
+def _require(cfg: PipelineConfig, name: str) -> str:
+    """Path of artifact ``name``; a missing one names the stage that writes it."""
     path = os.path.join(cfg.output, name)
     if not os.path.exists(path):
+        stage = next(stage for stage, artifact in _artifacts(cfg) if artifact == name)
         raise DataError(f"missing {name}; run `{stage}` first")
     return path
 
 
-def _write_csv(cfg: PipelineConfig, name: str, header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return _write(cfg, name, buf.getvalue())
+def _write_csv(cfg: PipelineConfig, name: str, header, rows) -> None:
+    def fill(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    _write(cfg, name, fill)
 
 
-def _write_table(cfg: PipelineConfig, name: str, units, columns: dict) -> str:
+def _write_table(cfg: PipelineConfig, name: str, units, columns: dict) -> None:
     """Write a ``{column: array}`` table as a CSV with one row per unit."""
-    return _write_csv(cfg, name, ["unit_id", *columns],
-                      zip(units, *(values.tolist() for values in columns.values())))
+    _write_csv(cfg, name, ["unit_id", *columns],
+               zip(units, *(values.tolist() for values in columns.values())))
 
 
 def _write_matrix(cfg: PipelineConfig, name: str, corner: str, header, labels,
-                  matrix) -> str:
+                  matrix) -> None:
     """Write a labelled matrix as a CSV with one row per label: each value
     to 6 decimals, NaN as an empty cell."""
     rows = np.asarray(matrix, dtype=float).tolist()
-    return _write_csv(cfg, name, [corner, *header],
-                      ([label] + ["" if math.isnan(v) else f"{v:.6f}" for v in row]
-                       for label, row in zip(labels, rows)))
+    _write_csv(cfg, name, [corner, *header],
+               ([label] + ["" if math.isnan(v) else f"{v:.6f}" for v in row]
+                for label, row in zip(labels, rows)))
 
 
 def _read_table(path: str, columns, parse):
@@ -426,8 +428,8 @@ def _feature_value(column: str, text: str) -> float:
     return value
 
 
-def stage_features(cfg: PipelineConfig) -> str:
-    """Parse raw inputs and write the per-unit feature CSV.
+def stage_features(cfg: PipelineConfig) -> None:
+    """Extract per-unit curve features from the raw CSVs.
 
     The window's counts of every unit, in sorted unit order, are cut out
     of the parsed count matrix with one fancy index, so rates, smoothing
@@ -460,8 +462,8 @@ def stage_features(cfg: PipelineConfig) -> str:
     smoothed = curve_features.smooth_rows(units, rates)
     table = curve_features.extract_features_batch(
         units, cfg.window_start + dt.timedelta(days=6), smoothed)
-    return _write_table(cfg, "features.csv", units,
-                        {c: _feature_cells(c, values) for c, values in table.items()})
+    _write_table(cfg, "features.csv", units,
+                 {c: _feature_cells(c, values) for c, values in table.items()})
 
 
 def read_features_csv(path: str):
@@ -473,10 +475,9 @@ def read_features_csv(path: str):
 # ---------------------------------------------------------------------------
 # stage: associate
 
-def stage_associate(cfg: PipelineConfig) -> list[str]:
-    """Discretize features and write association matrices and networks."""
-    features_path = _require(cfg, "features.csv", "features")
-    units, features = read_features_csv(features_path)
+def stage_associate(cfg: PipelineConfig) -> None:
+    """Discretize features and compute association matrices/networks."""
+    units, features = read_features_csv(_require(cfg, "features.csv"))
     names = ("peakdate",) + SHAPE_FEATURES
     columns, edges = {}, []
     for name in names:
@@ -486,15 +487,12 @@ def stage_associate(cfg: PipelineConfig) -> list[str]:
             raise ComputationError(f"feature {name!r}: {exc}") from exc
         edges.append(np.full(cfg.n_bins - 1, math.nan) if e is None else e)
 
-    written = [
-        _write_table(cfg, "categorical.csv", units, columns),
-        _write_matrix(cfg, "bin_edges.csv", "feature",
-                      [f"edge{i}" for i in range(1, cfg.n_bins)], names, edges),
-    ]
+    _write_table(cfg, "categorical.csv", units, columns)
+    _write_matrix(cfg, "bin_edges.csv", "feature",
+                  [f"edge{i}" for i in range(1, cfg.n_bins)], names, edges)
     matrices = dict(zip(("directed", "mutual"), infotheory.association_matrices(columns)))
     for kind, matrix in matrices.items():
-        written.append(_write_matrix(cfg, f"association_{kind}.csv", "feature",
-                                     names, names, matrix))
+        _write_matrix(cfg, f"association_{kind}.csv", "feature", names, names, matrix)
 
     for tau in cfg.thresholds:
         # an unquoted DOT ID holds only letters, digits and underscores
@@ -502,8 +500,7 @@ def stage_associate(cfg: PipelineConfig) -> list[str]:
         for kind, matrix in matrices.items():
             dot = infotheory.threshold_network(names, matrix, tau, kind == "directed",
                                                f"{kind}_{graph_id}")
-            written.append(_write(cfg, f"network_{kind}_{tau:g}.dot", dot))
-    return written
+            _write(cfg, f"network_{kind}_{tau:g}.dot", lambda fh: fh.write(dot))
 
 
 def _category_value(column: str, text: str) -> int:
@@ -522,11 +519,9 @@ def read_categorical_csv(path: str):
 # ---------------------------------------------------------------------------
 # stage: fuse
 
-def stage_fuse(cfg: PipelineConfig) -> list[str]:
-    """K-means fuse feature blocks and write the fused label columns."""
-    features_path = _require(cfg, "features.csv", "features")
-    units, columns = read_features_csv(features_path)
-    written = []
+def stage_fuse(cfg: PipelineConfig) -> None:
+    """K-means fuse feature blocks into categorical features."""
+    units, columns = read_features_csv(_require(cfg, "features.csv"))
     fused_cols: dict[str, np.ndarray] = {}
     for spec in cfg.fusions:
         matrix = np.column_stack([columns[c] for c in spec.columns])
@@ -535,13 +530,9 @@ def stage_fuse(cfg: PipelineConfig) -> list[str]:
             k=spec.k, seed=spec.seed, restarts=spec.restarts,
         )
         fused_cols[spec.name] = fused.labels
-
-        written.append(_write_matrix(
-            cfg, f"fusion_{spec.name}_centroids.csv", "cluster", spec.columns,
-            range(1, spec.k + 1), fused.centroids))
-
-    written.append(_write_table(cfg, "fused.csv", units, fused_cols))
-    return written
+        _write_matrix(cfg, f"fusion_{spec.name}_centroids.csv", "cluster", spec.columns,
+                      range(1, spec.k + 1), fused.centroids)
+    _write_table(cfg, "fused.csv", units, fused_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +560,9 @@ def _scan_inputs(cfg: PipelineConfig):
     """(spec, response codes, {candidate: codes}) of each configured response, the
     inputs select and report scan: categorical.csv, fused.csv when fusions are
     configured, and the metadata for a region or status response."""
-    cat_path = _require(cfg, "categorical.csv", "associate")
-    units, cat_columns = read_categorical_csv(cat_path)
+    units, cat_columns = read_categorical_csv(_require(cfg, "categorical.csv"))
     if cfg.fusions:
-        fused_path = _require(cfg, "fused.csv", "fuse")
-        f_units, f_columns = read_categorical_csv(fused_path)
+        f_units, f_columns = read_categorical_csv(_require(cfg, "fused.csv"))
         if f_units != units:
             raise DataError("fused.csv and categorical.csv disagree on units")
         cat_columns.update(f_columns)
@@ -611,30 +600,28 @@ def _scan_rows(scans, nulls):
                f"{r.sce_drop:.6f}", *judged]
 
 
-def stage_select(cfg: PipelineConfig) -> list[str]:
-    """Run major-factor scans for each configured response."""
+def stage_select(cfg: PipelineConfig) -> None:
+    """Run major-factor scans for the configured responses."""
     # null row orders by (seed, replicates), each dropped after its last use
     last_use = {(spec.seed + i, spec.replicates): k for k, spec in enumerate(cfg.responses)
                 for i in range(len(spec.candidates))}
-    orders, written = {}, []
+    orders = {}
     for k, (spec, y, candidates) in enumerate(_scan_inputs(cfg)):
         scans, names = major_factor.scan(y, candidates, spec.order), sorted(candidates)
         nulls = dict(zip(names, major_factor.noise_thresholds(
             y, [], [candidates[c] for c in names], spec.replicates,
             range(spec.seed, spec.seed + len(names)), orders)))
         orders = {key: v for key, v in orders.items() if last_use[key] > k}
-        written.append(_write_csv(cfg, f"scan_{spec.response}.csv", SCAN_COLUMNS,
-                                  _scan_rows(scans, nulls)))
-        written.extend(_write_reports(cfg, spec.response, scans, spec.top, spec.bottom))
-    return written
+        _write_csv(cfg, f"scan_{spec.response}.csv", SCAN_COLUMNS, _scan_rows(scans, nulls))
+        _write_reports(cfg, spec.response, scans, spec.top, spec.bottom)
 
 
-def _write_reports(cfg, response, scans, top, bottom) -> list[str]:
+def _write_reports(cfg, response, scans, top, bottom) -> None:
     if len(scans) < 2 or not scans[1]:
-        return []
-    return [_write(cfg, f"report_{response}.{ext}",
-                   major_factor.factor_report(scans[0], scans[1], top, bottom, markdown=md))
-            for ext, md in (("txt", False), ("md", True))]
+        return
+    for ext, md in (("txt", False), ("md", True)):
+        report = major_factor.factor_report(scans[0], scans[1], top, bottom, markdown=md)
+        _write(cfg, f"report_{response}.{ext}", lambda fh: fh.write(report))
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +635,9 @@ def _similarity_table(codes: cluster_fuse.LeafCodes):
                                 zip(labels, codes.similarity[np.ix_(order, order)].tolist())))
 
 
-def stage_cluster(cfg: PipelineConfig) -> list[str]:
-    """Build Ward.D2 trees, leaf codes, similarity matrices, and heatmaps."""
-    features_path = _require(cfg, "features.csv", "features")
-    units, columns = read_features_csv(features_path)
-    written = []
+def stage_cluster(cfg: PipelineConfig) -> None:
+    """Build Ward.D2 trees, leaf codes, and similarity heatmaps."""
+    units, columns = read_features_csv(_require(cfg, "features.csv"))
     for spec in cfg.clusterings:
         matrix = np.column_stack([columns[c] for c in spec.columns])
         try:
@@ -661,61 +646,77 @@ def stage_cluster(cfg: PipelineConfig) -> list[str]:
             raise ComputationError(f"{spec.name}: {exc}") from exc
         codes = cluster_fuse.leaf_codes(tree)
 
-        written.append(_write_csv(
-            cfg, f"tree_{spec.name}.csv", ("node_id", "left_child", "right_child", "height"),
-            ((node, left, right, f"{h:.9f}") for node, left, right, h in tree.merges)))
-        written.append(_write_csv(cfg, f"similarity_{spec.name}.csv",
-                                  *_similarity_table(codes)))
-        written.append(_write(cfg, f"heatmap_{spec.name}.svg",
-                              cluster_fuse.similarity_svg(codes)))
-        written.append(_write(cfg, f"excluded_{spec.name}.txt",
-                              "".join(f"{u}\n" for u in excluded)))
-    return written
+        _write_csv(cfg, f"tree_{spec.name}.csv",
+                   ("node_id", "left_child", "right_child", "height"),
+                   ((node, left, right, f"{h:.9f}") for node, left, right, h in tree.merges))
+        _write_csv(cfg, f"similarity_{spec.name}.csv", *_similarity_table(codes))
+        _write(cfg, f"heatmap_{spec.name}.svg",
+               lambda fh: fh.write(cluster_fuse.similarity_svg(codes)))
+        _write(cfg, f"excluded_{spec.name}.txt",
+               lambda fh: fh.writelines(f"{u}\n" for u in excluded))
 
 
 # ---------------------------------------------------------------------------
 # stage: report
 
 def stage_report(cfg: PipelineConfig, top: Optional[int] = None,
-                 bottom: Optional[int] = None) -> list[str]:
+                 bottom: Optional[int] = None) -> None:
     """Re-render ranked reports from the order-1/2 scans, recomputed from the
     inputs select reads; a report shows no null, so none is drawn."""
-    written = []
     for spec, y, candidates in _scan_inputs(cfg):
-        written.extend(_write_reports(
-            cfg, spec.response, major_factor.scan(y, candidates, min(spec.order, 2)),
-            spec.top if top is None else top,
-            spec.bottom if bottom is None else bottom,
-        ))
-    return written
+        _write_reports(cfg, spec.response, major_factor.scan(y, candidates, min(spec.order, 2)),
+                       spec.top if top is None else top,
+                       spec.bottom if bottom is None else bottom)
 
 
 # ---------------------------------------------------------------------------
-# full run + manifest
+# artifact table, full run + manifest
 
-def write_manifest(cfg: PipelineConfig) -> str:
-    """Digest every artifact in the output directory into manifest.txt."""
-    entries = []
-    for root, _dirs, files in os.walk(cfg.output):
-        for fname in files:
-            if fname == "manifest.txt":
-                continue
-            full = os.path.join(root, fname)
-            rel = os.path.relpath(full, cfg.output)
-            with open(full, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            entries.append(f"{digest}  {rel}")
-    return _write(cfg, "manifest.txt", "\n".join(sorted(entries)) + "\n")
-
-
-def run_pipeline(cfg: PipelineConfig) -> str:
-    """Run every stage in order and write the artifact manifest."""
-    stage_features(cfg)
-    stage_associate(cfg)
+def _artifacts(cfg: PipelineConfig):
+    """(stage, name) of every artifact a run of ``cfg`` writes, in stage order."""
+    yield "features", "features.csv"
+    for name in ("categorical.csv", "bin_edges.csv", "association_directed.csv",
+                 "association_mutual.csv"):
+        yield "associate", name
+    for tau in cfg.thresholds:
+        for kind in ("directed", "mutual"):
+            yield "associate", f"network_{kind}_{tau:g}.dot"
+    for spec in cfg.fusions:
+        yield "fuse", f"fusion_{spec.name}_centroids.csv"
     if cfg.fusions:
-        stage_fuse(cfg)
-    if cfg.responses:
-        stage_select(cfg)
-    if cfg.clusterings:
-        stage_cluster(cfg)
-    return write_manifest(cfg)
+        yield "fuse", "fused.csv"
+    for spec in cfg.responses:
+        yield "select", f"scan_{spec.response}.csv"
+        if spec.order > 1 and len(spec.candidates) > 1:
+            yield "select", f"report_{spec.response}.txt"
+            yield "select", f"report_{spec.response}.md"
+    for spec in cfg.clusterings:
+        for kind in ("tree_{}.csv", "similarity_{}.csv", "heatmap_{}.svg", "excluded_{}.txt"):
+            yield "cluster", kind.format(spec.name)
+
+
+#: Each stage's function by name, in run order.
+STAGES = {"features": stage_features, "associate": stage_associate, "fuse": stage_fuse,
+          "select": stage_select, "cluster": stage_cluster}
+
+
+def write_manifest(cfg: PipelineConfig) -> None:
+    """Digest every artifact a run of ``cfg`` writes, and nothing else in the
+    output directory, into manifest.txt."""
+    entries = []
+    for _stage, name in _artifacts(cfg):
+        path = _require(cfg, name)
+        try:
+            with open(path, "rb") as fh:
+                entries.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+    _write(cfg, "manifest.txt", lambda fh: fh.write("\n".join(sorted(entries)) + "\n"))
+
+
+def run_pipeline(cfg: PipelineConfig) -> None:
+    """Run every stage that writes an artifact of ``cfg``, in order, and write
+    the artifact manifest."""
+    for stage in dict.fromkeys(stage for stage, _name in _artifacts(cfg)):
+        STAGES[stage](cfg)
+    write_manifest(cfg)

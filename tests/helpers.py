@@ -780,8 +780,8 @@ def written_csv(name: str, header, rows) -> str:
 
     with tempfile.TemporaryDirectory() as out:
         cfg = pipeline.PipelineConfig(cases="unused", metadata="unused", output=out)
-        with open(pipeline._write_csv(cfg, name, header, rows), encoding="utf-8",
-                  newline="") as fh:
+        pipeline._write_csv(cfg, name, header, rows)
+        with open(os.path.join(out, name), encoding="utf-8", newline="") as fh:
             return fh.read()
 
 

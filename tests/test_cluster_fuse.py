@@ -126,7 +126,7 @@ def fusion_inputs(draw):
     return matrix, k, draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 25))
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestKmeansOracle:
     @settings(max_examples=200, deadline=None)
     @given(fusion_inputs(), st.sampled_from([1, 500, cluster_fuse.KMEANS_CELLS]))

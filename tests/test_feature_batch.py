@@ -11,6 +11,7 @@ batch returned.
 
 import dataclasses
 import datetime as dt
+import os
 import warnings
 
 import numpy as np
@@ -247,7 +248,8 @@ def test_stage_features_matches_per_unit_path(synthetic_dir, tmp_path, monkeypat
     matrices = []
     monkeypatch.setattr(curve_features, "smooth_rows",
                         lambda units, rates: matrices.append(rates) or smooth_rows(units, rates))
-    path = pipeline.stage_features(cfg)
+    pipeline.stage_features(cfg)
+    path = os.path.join(cfg.output, "features.csv")
 
     series = case_series(parse_case_series(cfg.cases))
     meta = parse_unit_metadata(cfg.metadata)
@@ -289,7 +291,8 @@ def test_stage_features_ignores_row_order_and_blank_lines(synthetic_dir, tmp_pat
         out = dataclasses.replace(cfg, cases=cases, output=str(tmp / name))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with open(pipeline.stage_features(out), "rb") as fh:
+            pipeline.stage_features(out)
+            with open(os.path.join(out.output, "features.csv"), "rb") as fh:
                 written[name] = fh.read()
     assert written["shuffled"] == written["in_order"]
 
@@ -352,7 +355,8 @@ def test_features_csv_reads_back_the_kernel_table(synthetic_dir, tmp_path, monke
     monkeypatch.setattr(curve_features, "extract_features_batch",
                         lambda *args: tables.append(extract_features_batch(*args))
                         or tables[-1])
-    units, table = pipeline.read_features_csv(pipeline.stage_features(cfg))
+    pipeline.stage_features(cfg)
+    units, table = pipeline.read_features_csv(os.path.join(cfg.output, "features.csv"))
 
     assert units == sorted(parse_case_series(cfg.cases).unit_ids)
     assert list(table) == list(tables[0]) == FEATURE_COLUMNS

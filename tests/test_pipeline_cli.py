@@ -23,7 +23,7 @@ import epicurve
 from epicurve import major_factor, pipeline
 from epicurve.cli import main
 from epicurve.curve_features import SHAPE_FEATURES
-from epicurve.errors import ConfigError
+from epicurve.errors import ConfigError, DataError
 
 from helpers import (
     START,
@@ -111,8 +111,8 @@ class TestPipeline:
         import dataclasses
 
         cfg = dataclasses.replace(cfg, output=str(tmp_path / "out"))
-        manifest = pipeline.run_pipeline(cfg)
-        with open(manifest) as fh:
+        pipeline.run_pipeline(cfg)
+        with open(os.path.join(cfg.output, "manifest.txt")) as fh:
             lines = fh.read().splitlines()
         names = {line.split("  ", 1)[1] for line in lines}
         assert "features.csv" in names
@@ -149,6 +149,70 @@ class TestPipeline:
         pipeline.stage_cluster(staged)
         pipeline.write_manifest(staged)
         assert digest_dir(whole.output) == digest_dir(staged.output)
+
+    def test_leftover_files_are_not_listed(self, cfg, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("tree_old.csv", "notes.txt"):
+            (out / name).write_text("left by an earlier run\n")
+        pipeline.run_pipeline(dataclasses.replace(cfg, output=str(out)))
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert not {"tree_old.csv", "notes.txt"} & {line.split("  ", 1)[1] for line in lines}
+        for line in lines:
+            digest, name = line.split("  ", 1)
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("variant", ["base", "order1", "one_candidate",
+                                         "three_thresholds", "two_each", "bare"])
+    def test_artifact_table_agrees_with_the_run(self, synthetic_dir, tmp_path, variant):
+        """A run writes exactly the artifacts of the table and the manifest
+        lists them; a staged run without its last stage has no manifest."""
+        data = base_config(synthetic_dir)
+        response = data["responses"][0]
+        if variant == "order1":
+            response["order"] = 1
+        elif variant == "one_candidate":
+            response["candidates"] = ["left80"]
+        elif variant == "three_thresholds":
+            data["thresholds"] = [0.6, 0.65, 0.7]
+        elif variant == "two_each":
+            data["fusions"].append({"name": "right", "columns": ["right50", "right80"],
+                                    "k": 3, "restarts": 5})
+            data["clusterings"].append({"name": "right", "columns": ["right50", "right80"]})
+        elif variant == "bare":
+            data.update(fusions=[], responses=[], clusterings=[])
+        cfg = pipeline.config_from_dict({**data, "output": str(tmp_path / "run")},
+                                        base_dir=str(synthetic_dir))
+        pipeline.run_pipeline(cfg)
+        table = [name for _stage, name in pipeline._artifacts(cfg)]
+        listed = [line.split("  ", 1)[1]
+                  for line in (tmp_path / "run" / "manifest.txt").read_text().splitlines()]
+        assert sorted(listed) == sorted(table) and len(set(table)) == len(table)
+        assert sorted(os.listdir(cfg.output)) == sorted(["manifest.txt", *table])
+        reports = [name for name in table if name.startswith("report_")]
+        assert len(reports) == (2 if variant in ("base", "three_thresholds", "two_each")
+                                else 0)
+        assert ("network_mutual_0.65.dot" in table) == (variant == "three_thresholds")
+        assert sum(name.startswith("tree_") for name in table) == \
+            {"two_each": 2, "bare": 0}.get(variant, 1)
+
+        staged = dataclasses.replace(cfg, output=str(tmp_path / "staged"))
+        *ran, skipped = dict.fromkeys(stage for stage, _name in pipeline._artifacts(cfg))
+        assert skipped == ("associate" if variant == "bare" else "cluster")
+        for stage in ran:
+            pipeline.STAGES[stage](staged)
+        with pytest.raises(DataError, match=f"; run `{skipped}` first$"):
+            pipeline.write_manifest(staged)
+        assert not (tmp_path / "staged" / "manifest.txt").exists()
+
+    def test_unreadable_artifact_is_a_data_error(self, cfg, tmp_path):
+        cfg = dataclasses.replace(cfg, output=str(tmp_path / "out"))
+        pipeline.run_pipeline(cfg)
+        path = tmp_path / "out" / "excluded_left.txt"
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
+            pipeline.write_manifest(cfg)
 
     def test_select_requires_associate(self, cfg, tmp_path):
         import dataclasses
@@ -218,6 +282,19 @@ class TestCli:
             header = text.splitlines()[0].split()
             assert header == ["1-feature", "CE", "SCE-drop", "2-feature", "CE", "SCE-drop"]
             assert len(text.splitlines()) == lines
+
+    def test_staged_commands_match_all(self, synthetic_dir, tmp_path, cfg):
+        """Each stage command runs its own stage: run one by one in table
+        order, they write the bytes of `all`, manifest aside."""
+        stages = list(dict.fromkeys(stage for stage, _name in pipeline._artifacts(cfg)))
+        assert stages == ["features", "associate", "fuse", "select", "cluster"]
+        for stage in stages:
+            res = self.run(synthetic_dir, stage, "--out", str(tmp_path / "staged"))
+            assert res.exit_code == 0, (stage, res.output)
+        assert self.run(synthetic_dir, "all", "--out", str(tmp_path / "all")).exit_code == 0
+        whole = digest_dir(tmp_path / "all")
+        del whole["manifest.txt"]
+        assert digest_dir(tmp_path / "staged") == whole
 
     def test_cli_matches_library_run(self, synthetic_dir, tmp_path, cfg):
         import dataclasses
@@ -539,7 +616,11 @@ class TestReportRoundTrip:
         pipeline.stage_select(cfg)
         paths = [tmp_path / f"report_peakvalue.{ext}" for ext in ("txt", "md")]
         written = [p.read_bytes() for p in paths]
-        assert pipeline.stage_report(cfg) == [str(p) for p in paths]
+        assert [name for stage, name in pipeline._artifacts(cfg) if stage == "select"] == \
+            ["scan_peakvalue.csv", *(p.name for p in paths)]
+        for p in paths:
+            p.unlink()
+        pipeline.stage_report(cfg)
         assert [p.read_bytes() for p in paths] == written
 
 
@@ -1031,15 +1112,17 @@ def test_select_builds_no_generator_per_replicate(synthetic_dir, tmp_path):
 def test_failed_write_keeps_the_earlier_artifact(tmp_path, failure):
     cfg = pipeline.PipelineConfig(cases="cases.csv", metadata="meta.csv",
                                   output=str(tmp_path / "out"))
-    path = pipeline._write(cfg, "scan_region.csv", "earlier\n")
+    path = os.path.join(cfg.output, "scan_region.csv")
+    pipeline._write(cfg, "scan_region.csv", lambda fh: fh.write("earlier\n"))
     if failure == "encode":
         # the lone surrogate cannot be encoded, so the write raises partway
         with pytest.raises(UnicodeEncodeError):
-            pipeline._write(cfg, "scan_region.csv", "later\n" * 10_000 + "\udc80")
+            pipeline._write(cfg, "scan_region.csv",
+                            lambda fh: fh.write("later\n" * 10_000 + "\udc80"))
     else:
         with mock.patch.object(pipeline.os, "replace", side_effect=OSError("disk full")), \
                 pytest.raises(ConfigError, match=f"^cannot write {re.escape(path)}: disk full$"):
-            pipeline._write(cfg, "scan_region.csv", "later\n")
+            pipeline._write(cfg, "scan_region.csv", lambda fh: fh.write("later\n"))
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "earlier\n"
     assert os.listdir(cfg.output) == ["scan_region.csv"]

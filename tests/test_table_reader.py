@@ -3,6 +3,7 @@ replaced: the same arrays, byte for byte, or the same error, and one parse
 call per distinct cell."""
 
 import csv
+import os
 from unittest import mock
 
 import pytest
@@ -117,7 +118,10 @@ def cohort_artifacts(tmp_path_factory):
     d = tmp_path_factory.mktemp("cohort")
     write_synthetic_inputs(d, n_units=700)
     cfg = pipeline.config_from_dict(base_config(d), base_dir=str(d))
-    return pipeline.stage_features(cfg), pipeline.stage_associate(cfg)[0]
+    pipeline.stage_features(cfg)
+    pipeline.stage_associate(cfg)
+    return (os.path.join(cfg.output, "features.csv"),
+            os.path.join(cfg.output, "categorical.csv"))
 
 
 def distinct_cells(path, columns):
