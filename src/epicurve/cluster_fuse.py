@@ -39,26 +39,18 @@ class FusedFeature:
 class HCTree:
     """Binary merge tree; leaves 0..n-1, internal nodes n..2n-2.
 
-    ``merges[m]`` = (node_id, left, right, height); child order already
-    follows the smaller-min-leaf-goes-left rule.
+    ``merges[m]`` = (node_id, left, right, height), the root's merge last;
+    child order already follows the smaller-min-leaf-goes-left rule.
     """
 
     leaf_labels: tuple[str, ...]
     merges: tuple[tuple[int, int, int, float], ...]
-
-    @property
-    def root(self) -> int:
-        return self.merges[-1][0]
-
-    def children(self) -> dict[int, tuple[int, int]]:
-        return {node: (left, right) for node, left, right, _ in self.merges}
 
 
 @dataclass(frozen=True)
 class LeafCodes:
     """Common-prefix similarity of the leaves' binary path codes."""
 
-    leaf_labels: tuple[str, ...]
     similarity: np.ndarray  # (n, n) ints
     leaf_order: tuple[int, ...]  # left-to-right traversal order
 
@@ -262,12 +254,12 @@ def leaf_codes(tree: HCTree) -> LeafCodes:
     smallest common prefix of the adjacent pairs between them: each
     similarity row is one running minimum.
     """
-    children = tree.children()
+    children = {node: (left, right) for node, left, right, _ in tree.merges}
     # (leaf, depth, common-prefix length with the leaf before it) in traversal
     # order. A right child's first leaf shares its parent's depth with the leaf
     # before it; a left child's first leaf shares its parent's.
     leaves = []
-    stack = [(tree.root, 0, 0)]
+    stack = [(tree.merges[-1][0], 0, 0)]
     while stack:
         node, depth, lcp = stack.pop()
         if node in children:
@@ -285,18 +277,18 @@ def leaf_codes(tree: HCTree) -> LeafCodes:
         tsim[p, p + 1:] = tsim[p + 1:, p] = np.minimum.accumulate(adjacent[p:])
     sim = np.empty_like(tsim)
     sim[np.ix_(order, order)] = tsim
-    return LeafCodes(leaf_labels=tree.leaf_labels, similarity=sim, leaf_order=order)
+    return LeafCodes(similarity=sim, leaf_order=order)
 
 
 #: Heatmap cell side and the margin left for unit labels, in SVG pixels.
 _CELL, _LABEL_SPACE = 12, 70
 
 
-def similarity_svg(codes: LeafCodes) -> str:
-    """Deterministic grayscale heatmap SVG in tree leaf order."""
-    order = codes.leaf_order
-    n = len(order)
-    max_sim = max(1, int(codes.similarity.max()))
+def similarity_svg(labels: Sequence[str], rows: Sequence[Sequence[int]]) -> str:
+    """Deterministic grayscale heatmap SVG of a similarity matrix whose
+    ``rows`` and columns, like ``labels``, are already in tree leaf order."""
+    n = len(labels)
+    max_sim = max(1, max(map(max, rows)))
     width = _LABEL_SPACE + n * _CELL + 10
     height = _LABEL_SPACE + n * _CELL + 10
     parts = [
@@ -307,14 +299,13 @@ def similarity_svg(codes: LeafCodes) -> str:
     heads = [f'<rect x="{_LABEL_SPACE + c * _CELL}" y="' for c in range(n)]
     shades = [int(round(255 * (1.0 - v / max_sim))) for v in range(max_sim + 1)]
     tails = [f'" width="{_CELL}" height="{_CELL}" fill="rgb({s},{s},{s})"/>' for s in shades]
-    for r, row in enumerate(codes.similarity[np.ix_(order, order)].tolist()):
+    for r, row in enumerate(rows):
         y = repeat(str(_LABEL_SPACE + r * _CELL))
         parts.append("\n".join(map("".join, zip(heads, y, map(tails.__getitem__, row)))))
-    for r, i in enumerate(order):
+    for r, label in enumerate(labels):
         # escaped by hand: xml.sax.saxutils imports urllib.request, which
         # would lengthen every CLI start
-        label = codes.leaf_labels[i].replace("&", "&amp;").replace("<", "&lt;")
-        label = label.replace(">", "&gt;")
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         y = _LABEL_SPACE + r * _CELL + _CELL - 2
         parts.append(f'<text x="2" y="{y}">{label}</text>')
         x = _LABEL_SPACE + r * _CELL + 2
@@ -327,14 +318,10 @@ def similarity_svg(codes: LeafCodes) -> str:
 
 
 def root_partition(tree: HCTree) -> tuple[set[int], set[int]]:
-    """Leaf index sets of the two subtrees under the root."""
-    children = tree.children()
-
-    def leaves(node: int) -> set[int]:
-        if node not in children:
-            return {node}
-        l, r = children[node]
-        return leaves(l) | leaves(r)
-
-    left, right = children[tree.root]
-    return leaves(left), leaves(right)
+    """Leaf index sets of the two subtrees under the root: every merge below
+    the root unions its children's sets."""
+    *below, (_, left, right, _) = tree.merges
+    leaves = {}
+    for node, a, b, _ in below:
+        leaves[node] = leaves.pop(a, {a}) | leaves.pop(b, {b})
+    return leaves.get(left, {left}), leaves.get(right, {right})

@@ -77,15 +77,6 @@ class PipelineConfig:
     clusterings: tuple[ClusteringSpec, ...] = ()
 
 
-def _as_date(value, what: str) -> dt.date:
-    if isinstance(value, dt.date):
-        return value
-    try:
-        return dt.date.fromisoformat(str(value))
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} date: {value!r}") from exc
-
-
 #: Fusion and clustering names end up in file names.
 _SAFE_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
@@ -126,6 +117,11 @@ def _float(value) -> float:
     if isinstance(value, bool):
         raise ValueError(value)
     return float(value)
+
+
+def _date(value) -> dt.date:
+    """A plain date or its ISO text, refusing timestamps."""
+    return value if type(value) is dt.date else dt.date.fromisoformat(str(value))
 
 
 def _list_of(convert, least: int = 0, unique: bool = False):
@@ -191,8 +187,8 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     if not isinstance(window, dict):
         raise ConfigError("window must be a mapping with start and end")
     _known("window", window, ("start", "end"))
-    start = _as_date(window.get("start", PipelineConfig.window_start), "window start")
-    end = _as_date(window.get("end", PipelineConfig.window_end), "window end")
+    start = _field("window", window, "start", _date, PipelineConfig.window_start)
+    end = _field("window", window, "end", _date, PipelineConfig.window_end)
     if start >= end:
         raise ConfigError(f"window start {start} must precede end {end}")
 
@@ -286,7 +282,7 @@ def load_config(path: str) -> PipelineConfig:
             data = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date like 2022-02-30
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return config_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
@@ -532,7 +528,8 @@ def stage_fuse(cfg: PipelineConfig) -> None:
         fused_cols[spec.name] = fused.labels
         _write_matrix(cfg, f"fusion_{spec.name}_centroids.csv", "cluster", spec.columns,
                       range(1, spec.k + 1), fused.centroids)
-    _write_table(cfg, "fused.csv", units, fused_cols)
+    if fused_cols:  # no fusion, no fused.csv: nothing reads or lists it
+        _write_table(cfg, "fused.csv", units, fused_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -627,14 +624,6 @@ def _write_reports(cfg, response, scans, top, bottom) -> None:
 # ---------------------------------------------------------------------------
 # stage: cluster
 
-def _similarity_table(codes: cluster_fuse.LeafCodes):
-    """(header, rows) of a similarity CSV: rows and columns in tree leaf order."""
-    order = list(codes.leaf_order)
-    labels = [codes.leaf_labels[i] for i in order]
-    return (["unit", *labels], ([label, *row] for label, row in
-                                zip(labels, codes.similarity[np.ix_(order, order)].tolist())))
-
-
 def stage_cluster(cfg: PipelineConfig) -> None:
     """Build Ward.D2 trees, leaf codes, and similarity heatmaps."""
     units, columns = read_features_csv(_require(cfg, "features.csv"))
@@ -644,14 +633,18 @@ def stage_cluster(cfg: PipelineConfig) -> None:
             tree, excluded = cluster_fuse.hcluster_ward(matrix, units)
         except ComputationError as exc:
             raise ComputationError(f"{spec.name}: {exc}") from exc
+        # the similarity in tree leaf order, which the CSV and the heatmap share
         codes = cluster_fuse.leaf_codes(tree)
+        labels = [tree.leaf_labels[i] for i in codes.leaf_order]
+        rows = codes.similarity[np.ix_(codes.leaf_order, codes.leaf_order)].tolist()
 
         _write_csv(cfg, f"tree_{spec.name}.csv",
                    ("node_id", "left_child", "right_child", "height"),
                    ((node, left, right, f"{h:.9f}") for node, left, right, h in tree.merges))
-        _write_csv(cfg, f"similarity_{spec.name}.csv", *_similarity_table(codes))
+        _write_csv(cfg, f"similarity_{spec.name}.csv", ["unit", *labels],
+                   ([label, *row] for label, row in zip(labels, rows)))
         _write(cfg, f"heatmap_{spec.name}.svg",
-               lambda fh: fh.write(cluster_fuse.similarity_svg(codes)))
+               lambda fh: fh.write(cluster_fuse.similarity_svg(labels, rows)))
         _write(cfg, f"excluded_{spec.name}.txt",
                lambda fh: fh.writelines(f"{u}\n" for u in excluded))
 

@@ -715,9 +715,9 @@ def oracle_hcluster_ward(matrix, leaf_labels):
 def oracle_codes(tree) -> dict[int, str]:
     """{leaf: binary path code (left=0, right=1)} in left-to-right traversal
     order, by one stack traversal."""
-    children = tree.children()
+    children = {node: (left, right) for node, left, right, _ in tree.merges}
     codes: dict[int, str] = {}
-    stack = [(tree.root, "")]
+    stack = [(tree.merges[-1][0], "")]
     while stack:
         node, prefix = stack.pop()
         if node in children:
@@ -749,20 +749,38 @@ def oracle_leaf_codes(tree):
                     break
                 m += 1
             sim[u, v] = sim[v, u] = m
-    return LeafCodes(
-        leaf_labels=tree.leaf_labels,
-        similarity=sim,
-        leaf_order=tuple(codes),
-    )
+    return LeafCodes(similarity=sim, leaf_order=tuple(codes))
 
 
-def oracle_similarity_csv(codes) -> str:
+def oracle_root_partition(tree) -> tuple[set[int], set[int]]:
+    """Leaf index sets of the two subtrees under the root, by recursion."""
+    children = {node: (left, right) for node, left, right, _ in tree.merges}
+
+    def leaves(node: int) -> set[int]:
+        if node not in children:
+            return {node}
+        l, r = children[node]
+        return leaves(l) | leaves(r)
+
+    left, right = children[tree.merges[-1][0]]
+    return leaves(left), leaves(right)
+
+
+def leaf_ordered(leaf_labels, codes):
+    """(labels, rows) of the similarity in tree leaf order, cell by cell: the
+    arguments of ``cluster_fuse.similarity_svg``."""
+    order = codes.leaf_order
+    return ([leaf_labels[i] for i in order],
+            [[int(codes.similarity[i, j]) for j in order] for i in order])
+
+
+def oracle_similarity_csv(leaf_labels, codes) -> str:
     """Similarity CSV with one fancy-indexed matrix row per output row."""
     order = list(codes.leaf_order)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit"] + [codes.leaf_labels[i] for i in order])
-    writer.writerows([codes.leaf_labels[i]] + codes.similarity[i, order].tolist()
+    writer.writerow(["unit"] + [leaf_labels[i] for i in order])
+    writer.writerows([leaf_labels[i]] + codes.similarity[i, order].tolist()
                      for i in order)
     return buf.getvalue()
 
@@ -774,20 +792,9 @@ def oracle_tree_csv(tree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def written_csv(name: str, header, rows) -> str:
-    """Text of the CSV that ``pipeline._write_csv`` writes for ``header`` and ``rows``."""
-    from epicurve import pipeline
-
-    with tempfile.TemporaryDirectory() as out:
-        cfg = pipeline.PipelineConfig(cases="unused", metadata="unused", output=out)
-        pipeline._write_csv(cfg, name, header, rows)
-        with open(os.path.join(out, name), encoding="utf-8", newline="") as fh:
-            return fh.read()
-
-
-def stage_tree_csv(tree) -> str:
-    """Text of the tree_t.csv that ``pipeline.stage_cluster`` writes when Ward
-    returns ``tree``."""
+def stage_cluster_texts(tree) -> dict[str, str]:
+    """{kind: text} of the tree CSV, similarity CSV and heatmap SVG that
+    ``pipeline.stage_cluster`` writes when Ward returns ``tree``."""
     from unittest import mock
 
     from epicurve import cluster_fuse, pipeline
@@ -801,11 +808,15 @@ def stage_tree_csv(tree) -> str:
         with mock.patch.object(pipeline, "read_features_csv", return_value=features), \
                 mock.patch.object(cluster_fuse, "hcluster_ward", return_value=(tree, [])):
             pipeline.stage_cluster(cfg)
-        with open(os.path.join(out, "tree_t.csv"), encoding="utf-8", newline="") as fh:
-            return fh.read()
+        texts = {}
+        for kind, name in (("tree", "tree_t.csv"), ("similarity", "similarity_t.csv"),
+                           ("heatmap", "heatmap_t.svg")):
+            with open(os.path.join(out, name), encoding="utf-8", newline="") as fh:
+                texts[kind] = fh.read()
+        return texts
 
 
-def oracle_similarity_svg(codes) -> str:
+def oracle_similarity_svg(leaf_labels, codes) -> str:
     """Heatmap SVG with one formatted ``<rect>`` per matrix cell."""
     from epicurve.cluster_fuse import _CELL, _LABEL_SPACE
 
@@ -829,7 +840,7 @@ def oracle_similarity_svg(codes) -> str:
                 f'fill="rgb({shade},{shade},{shade})"/>'
             )
     for r, i in enumerate(order):
-        label = codes.leaf_labels[i].replace("&", "&amp;").replace("<", "&lt;")
+        label = leaf_labels[i].replace("&", "&amp;").replace("<", "&lt;")
         label = label.replace(">", "&gt;")
         y = _LABEL_SPACE + r * _CELL + _CELL - 2
         parts.append(f'<text x="2" y="{y}">{label}</text>')

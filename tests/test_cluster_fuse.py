@@ -17,18 +17,18 @@ from epicurve.cluster_fuse import (
     similarity_svg,
 )
 from epicurve.errors import ComputationError
-from epicurve.pipeline import _similarity_table
 from helpers import (
+    leaf_ordered,
     naive_ward_reference,
     oracle_codes,
     oracle_kmeans_fuse,
     oracle_leaf_codes,
+    oracle_root_partition,
     oracle_similarity_csv,
     oracle_similarity_svg,
     oracle_tree_csv,
     random_merge_tree,
-    stage_tree_csv,
-    written_csv,
+    stage_cluster_texts,
 )
 
 
@@ -285,6 +285,24 @@ class TestLeafCodes:
                 assert codes.similarity[u, v] == 0
 
 
+class TestRootPartition:
+    """The merge replay returns the recursion's leaf sets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_matches_recursive_oracle(self, n, seed):
+        tree = random_merge_tree(n, np.random.default_rng(seed))
+        assert root_partition(tree) == oracle_root_partition(tree)
+
+    @pytest.mark.parametrize("n", [2, 3, 300])
+    def test_caterpillar(self, n):
+        merges = [(n, 0, 1, 1.0)]
+        merges += [(n + k - 1, n + k - 2, k, float(k)) for k in range(2, n)]
+        tree = HCTree(tuple(f"u{i}" for i in range(n)), tuple(merges))
+        assert root_partition(tree) == oracle_root_partition(tree) == (
+            set(range(n - 1)), {n - 1})
+
+
 class TestArtifacts:
     @pytest.fixture
     def two_blob_codes(self):
@@ -306,21 +324,20 @@ class TestArtifacts:
                 assert codes.similarity[u, v] == 0
 
     def test_csv_leaf_order_matches_traversal(self, two_blob_codes):
-        codes, _tree = two_blob_codes
-        text = written_csv("similarity.csv", *_similarity_table(codes))
+        codes, tree = two_blob_codes
+        text = stage_cluster_texts(tree)["similarity"]
         header = text.splitlines()[0].split(",")[1:]
-        assert header == [codes.leaf_labels[i] for i in codes.leaf_order]
+        assert header == [tree.leaf_labels[i] for i in codes.leaf_order]
 
     def test_render_determinism(self, two_blob_codes):
         codes, tree = two_blob_codes
-        assert (written_csv("similarity.csv", *_similarity_table(codes))
-                == written_csv("similarity.csv", *_similarity_table(codes)))
-        assert similarity_svg(codes) == similarity_svg(codes)
-        assert stage_tree_csv(tree) == stage_tree_csv(tree)
+        assert stage_cluster_texts(tree) == stage_cluster_texts(tree)
+        assert (similarity_svg(*leaf_ordered(tree.leaf_labels, codes))
+                == similarity_svg(*leaf_ordered(tree.leaf_labels, codes)))
 
     def test_svg_is_wellformed_enough(self, two_blob_codes):
-        codes, _ = two_blob_codes
-        svg = similarity_svg(codes)
+        codes, tree = two_blob_codes
+        svg = similarity_svg(*leaf_ordered(tree.leaf_labels, codes))
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         assert svg.count("<rect") == 100
@@ -335,16 +352,19 @@ def first_difference(got: str, want: str):
 
 
 def assert_render_matches_oracle(tree):
-    """Order, similarity (values and dtype), CSV and SVG all equal the
-    per-pair and per-cell forms; the SVG parses as XML."""
+    """Order, similarity (values and dtype), and the CSV and SVG that the
+    cluster stage writes all equal the per-pair and per-cell forms, and so
+    does the SVG of the cell-by-cell leaf-ordered rows; the SVG parses as XML."""
     got, want = leaf_codes(tree), oracle_leaf_codes(tree)
     assert got.leaf_order == want.leaf_order
     assert got.similarity.dtype == want.similarity.dtype
     assert np.array_equal(got.similarity, want.similarity)
-    text = written_csv("similarity.csv", *_similarity_table(got))
-    assert first_difference(text, oracle_similarity_csv(want)) is None
-    svg = similarity_svg(got)
-    assert first_difference(svg, oracle_similarity_svg(want)) is None
+    written = stage_cluster_texts(tree)
+    text = written["similarity"]
+    assert first_difference(text, oracle_similarity_csv(tree.leaf_labels, want)) is None
+    svg = written["heatmap"]
+    assert first_difference(svg, oracle_similarity_svg(tree.leaf_labels, want)) is None
+    assert similarity_svg(*leaf_ordered(tree.leaf_labels, got)) == svg
     root = ElementTree.fromstring(svg)
     texts = [t.text or "" for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert texts[::2] == [tree.leaf_labels[i] for i in got.leaf_order]
@@ -393,10 +413,10 @@ class TestTreeCsvOracle:
         tree = random_merge_tree(len(heights) + 1, np.random.default_rng(seed))
         tree = HCTree(tree.leaf_labels, tuple(
             (node, left, right, h) for (node, left, right, _), h in zip(tree.merges, heights)))
-        assert stage_tree_csv(tree) == oracle_tree_csv(tree)
+        assert stage_cluster_texts(tree)["tree"] == oracle_tree_csv(tree)
 
     def test_extreme_heights(self):
         merges = ((4, 0, 1, 0.0), (5, 2, 3, 1e-10), (6, 4, 5, 1e6))
-        assert stage_tree_csv(HCTree(("a", "b", "c", "d"), merges)) == (
+        assert stage_cluster_texts(HCTree(("a", "b", "c", "d"), merges))["tree"] == (
             "node_id,left_child,right_child,height\n4,0,1,0.000000000\n"
             "5,2,3,0.000000000\n6,4,5,1000000.000000000\n")

@@ -162,6 +162,14 @@ class TestPipeline:
             digest, name = line.split("  ", 1)
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    def test_fuse_without_fusions_writes_nothing(self, cfg, tmp_path):
+        bare = dataclasses.replace(cfg, output=str(tmp_path / "out"), fusions=(), responses=())
+        pipeline.run_pipeline(bare)
+        before = digest_dir(bare.output)
+        pipeline.stage_fuse(bare)
+        assert digest_dir(bare.output) == before
+        assert "fused.csv" not in before
+
     @pytest.mark.parametrize("variant", ["base", "order1", "one_candidate",
                                          "three_thresholds", "two_each", "bare"])
     def test_artifact_table_agrees_with_the_run(self, synthetic_dir, tmp_path, variant):
@@ -480,6 +488,18 @@ def _unknown_clustering_key(d):
     d["clusterings"][0]["k"] = 2
 
 
+def _start_timestamp(d):
+    d["window"]["start"] = dt.datetime(2022, 3, 25, 10)
+
+
+def _end_timestamp(d):
+    d["window"]["end"] = dt.datetime(2022, 8, 19, 10)
+
+
+def _both_timestamps(d):
+    d["window"] = {"start": dt.datetime(2022, 3, 25), "end": dt.datetime(2022, 8, 19)}
+
+
 INVALID_CONFIGS = [
     (_restarts_zero, "restarts must be >= 1"),
     (_replicates_zero, "replicates must be >= 1"),
@@ -525,6 +545,9 @@ INVALID_CONFIGS = [
     (_unknown_fusion_key, "fusions[0]: unknown key 'restart'"),
     (_unknown_response_key, "responses[0]: unknown key 'replicate'"),
     (_unknown_clustering_key, "clusterings[0]: unknown key 'k'"),
+    (_start_timestamp, "window: bad start datetime.datetime(2022, 3, 25, 10, 0)"),
+    (_end_timestamp, "window: bad end datetime.datetime(2022, 8, 19, 10, 0)"),
+    (_both_timestamps, "window: bad start datetime.datetime(2022, 3, 25, 0, 0)"),
 ]
 
 
@@ -553,6 +576,17 @@ def test_config_not_utf8_exits_2(tmp_path):
     res = CliRunner().invoke(main, ["all", "--config", str(config)])
     assert res.exit_code == 2, res.output
     assert res.output.startswith(f"config error: cannot read config {config}: ")
+    assert res.output.count("\n") == 1
+
+
+def test_config_impossible_date_exits_2(tmp_path):
+    config = tmp_path / "bad.yaml"
+    config.write_text("cases: a\nmetadata: b\noutput: o\n"
+                      "window: {start: 2022-02-30, end: 2022-08-19}\n")
+    res = CliRunner().invoke(main, ["features", "--config", str(config)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith(f"config error: invalid YAML in {config}: ")
+    assert "day is out of range for month" in res.output
     assert res.output.count("\n") == 1
 
 
