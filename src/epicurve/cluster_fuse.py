@@ -15,7 +15,6 @@ tree-distance similarity.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -33,6 +32,7 @@ class FusedFeature:
     labels: np.ndarray  # per-row label in 0..k, 0 = row had NA
     centroids: np.ndarray  # (k, d) in standardized source space
     inertia: float
+    converged: bool  # the winning restart's labels repeated within _MAX_ITER updates
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ def _sq_dist(xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _kmeans_block(x: np.ndarray, k: int, rngs: list):
     """k-means++ seeding and Lloyd for one generator per restart, the
     restarts in lockstep until each one's labels repeat (or ``_MAX_ITER``).
-    Returns labels (R, n), centroids (R, k, d) and inertias (R,)."""
+    Returns labels (R, n), centroids (R, k, d), inertias (R,) and whether
+    each restart's labels repeated (R,)."""
     (n, d), xt = x.shape, np.ascontiguousarray(x.T)
     centroids = np.empty((len(rngs), k, d))
     centroids[:, 0] = x[[rng.integers(n) for rng in rngs]]
@@ -104,6 +105,7 @@ def _kmeans_block(x: np.ndarray, k: int, rngs: list):
 
     final = np.empty((len(rngs), n), dtype=int)
     inertia = np.empty(len(rngs))
+    converged = np.empty(len(rngs), dtype=bool)
     live = np.arange(len(rngs))
     labels = np.full((len(rngs), n), -1)
     weights = np.tile(x.ravel(), len(rngs))  # x once per restart, for the bincount
@@ -114,9 +116,11 @@ def _kmeans_block(x: np.ndarray, k: int, rngs: list):
         for c in range(1, k):  # argmin over the clusters: the first nearest wins
             new[d2[:, c] < nearest] = c
             np.minimum(nearest, d2[:, c], out=nearest)
-        done = (new == labels).all(axis=1) | (it == _MAX_ITER)
+        repeated = (new == labels).all(axis=1)
+        done = repeated | (it == _MAX_ITER)
         final[live[done]] = new[done]
         inertia[live[done]] = nearest[done].sum(axis=1)
+        converged[live[done]] = repeated[done]
         live, labels, nearest = live[~done], new[~done], nearest[~done]
         if not live.size:
             break
@@ -134,7 +138,7 @@ def _kmeans_block(x: np.ndarray, k: int, rngs: list):
         r, c = np.nonzero(counts == 0)
         means[r, c] = x[nearest.argmax(axis=1)[r]]
         centroids[live] = means
-    return final, centroids, inertia
+    return final, centroids, inertia, converged
 
 
 def kmeans_fuse(
@@ -171,7 +175,7 @@ def kmeans_fuse(
         for fit in zip(*_kmeans_block(xs, k, rngs)):
             if best is None or fit[2] < best[2] - 1e-12:
                 best = fit
-    labels, centroids, inertia = best
+    labels, centroids, inertia, converged = best
 
     # renumber clusters by first appearance so the labeling is canonical;
     # clusters that hold no row follow in index order
@@ -185,7 +189,8 @@ def kmeans_fuse(
     full = np.zeros(matrix.shape[0], dtype=int)
     full[complete] = remap[labels]
     return FusedFeature(source_columns=tuple(column_names), labels=full,
-                        centroids=centroids[order], inertia=float(inertia))
+                        centroids=centroids[order], inertia=float(inertia),
+                        converged=bool(converged))
 
 
 def hcluster_ward(
@@ -219,7 +224,6 @@ def hcluster_ward(
     size = np.ones(n)
     node = np.arange(n)
     merges = []
-    prev_height = 0.0
     for step in range(n - 1):
         # d2 is symmetric, so its first minimum in row-major order is the
         # tied pair with the smallest (min leaf, max leaf), and i < j
@@ -227,12 +231,6 @@ def hcluster_ward(
         if i == j:  # the closest live clusters are inf apart: take the lowest two
             i, j = np.flatnonzero(size)[:2]
         height = float(np.sqrt(d2[i, j]))
-        if height < prev_height - 1e-9:
-            warnings.warn(
-                f"Ward.D2 height inversion at merge {step}: "
-                f"{height:.6g} < {prev_height:.6g}"
-            )
-        prev_height = max(prev_height, height)
         merges.append((n + step, int(node[i]), int(node[j]), height))
 
         # Lance-Williams in the scalar operation order; empty slots stay inf

@@ -16,7 +16,6 @@ within the window is right-censored and the feature is NA.
 from __future__ import annotations
 
 import datetime as dt
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -108,7 +107,7 @@ def find_peak(s: SmoothedSeries) -> tuple[int, float]:
     """Earliest argmax of the smoothed curve and its value.
 
     All-zero curves carry no infection signal and are an error; a peak
-    sitting on the first or last smoothed day only warns.
+    may sit on the first or last smoothed day.
     """
     v = np.asarray(s.values)
     if v.size == 0:
@@ -117,10 +116,6 @@ def find_peak(s: SmoothedSeries) -> tuple[int, float]:
     peak = float(v[t_max])
     if peak <= 0.0:
         raise ComputationError(f"{s.unit_id}: no infection signal (all-zero curve)")
-    if t_max == 0 or t_max == v.size - 1:
-        warnings.warn(
-            f"{s.unit_id}: boundary peak at day {t_max}", BoundaryPeakWarning
-        )
     return t_max, peak
 
 
@@ -171,9 +166,8 @@ def extract_features_batch(unit_ids: Sequence[str], start_date: dt.date,
     curves that share ``start_date``, as one float64 column per
     FEATURE_COLUMNS entry: NA is NaN and peakdate its day ordinal.
 
-    Warnings and errors are those of extract_features called row by row
-    in order: the first failing row raises after the warnings of the rows
-    before it.
+    Values and errors are those of extract_features called row by row in
+    order: every row is checked first, and the first failing one raises.
     """
     v = np.asarray(values, dtype=float)
     units, days = v.shape
@@ -187,24 +181,12 @@ def extract_features_batch(unit_ids: Sequence[str], start_date: dt.date,
     suffix_max = np.maximum.accumulate(v[:, ::-1], axis=1)[:, ::-1]
     l01, r01 = _crossings(v, suffix_max, peak, 0.1)
     failed = (peak <= 0.0) | (~edge & ((l01 < 0) | (r01 < 0)))
-    stop = int(failed.argmax()) if failed.any() else units
-
-    for i in range(stop):
-        if edge[i]:
-            if t_max[i] in (0, days - 1):
-                warnings.warn(f"{unit_ids[i]}: boundary peak at day {t_max[i]}",
-                              BoundaryPeakWarning)
-            warnings.warn(
-                f"{unit_ids[i]}: peak within 6 days of the window edge; "
-                "curvature-dependent features set to NA",
-                BoundaryPeakWarning,
-            )
-    if stop < units:
-        if peak[stop] <= 0.0:
-            raise ComputationError(
-                f"{unit_ids[stop]}: no infection signal (all-zero curve)")
+    if failed.any():
+        i = int(failed.argmax())
+        if peak[i] <= 0.0:
+            raise ComputationError(f"{unit_ids[i]}: no infection signal (all-zero curve)")
         raise ComputationError(
-            f"{unit_ids[stop]}: cannot center curve (a 90%-of-peak crossing is censored)"
+            f"{unit_ids[i]}: cannot center curve (a 90%-of-peak crossing is censored)"
         )
 
     t0 = (l01 + r01) // 2
@@ -243,7 +225,7 @@ def extract_features(s: SmoothedSeries) -> CurveFeatures:
     The robust peak t0 is the floored midpoint of the two 90%-of-peak
     crossings; all left/right spans are measured from t0. When the peak
     lies within 6 days of either window edge the curvature-dependent
-    fields are NA (with a warning) instead of failing the unit.
+    fields are NA instead of failing the unit; the features stage warns.
     """
     values = np.asarray(s.values, dtype=float)[None, :]
     table = extract_features_batch([s.unit_id], s.start_date, values)

@@ -11,7 +11,6 @@ data to be dropped.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -36,19 +35,12 @@ class ContingencyTable:
     counts: np.ndarray  # shape (r, c), non-negative ints
 
     @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
     def row_sums(self) -> np.ndarray:
         return self.counts.sum(axis=1)
 
     @property
     def col_sums(self) -> np.ndarray:
         return self.counts.sum(axis=0)
-
-    def transpose(self) -> "ContingencyTable":
-        return ContingencyTable(self.col_labels, self.row_labels, self.counts.T.copy())
 
 
 def discretize(
@@ -59,9 +51,8 @@ def discretize(
 
     Bin edges sit at the interior percentiles (linear interpolation);
     bins are left-closed with the last bin right-closed. Columns with
-    fewer than n_bins distinct values fall back to distinct-value bins
-    with a warning. Returns (categories, edges); edges is None for the
-    fallback path.
+    fewer than n_bins distinct values fall back to distinct-value bins.
+    Returns (categories, edges); edges is None for the fallback path.
     """
     v = np.asarray(list(values), dtype=float)
     if v.size == 0:
@@ -73,11 +64,6 @@ def discretize(
 
     distinct = np.unique(present)
     if distinct.size < n_bins:
-        warnings.warn(
-            f"degenerate column: {distinct.size} distinct values for "
-            f"{n_bins} bins; using distinct-value bins",
-            DegenerateColumnWarning,
-        )
         cats, edges = 1 + np.searchsorted(distinct, v), None
     else:
         qs = [100.0 * k / n_bins for k in range(1, n_bins)]
@@ -105,16 +91,15 @@ def conditional_entropy(t: ContingencyTable, direction: str = COLS_GIVEN_ROWS) -
     The count-weighted mean of the per-row (per-column) cell-distribution
     entropies; satisfies the chain rule H(X,Y) = H(X) + H(Y|X) exactly.
     """
-    if direction == ROWS_GIVEN_COLS:
-        t = t.transpose()
-    elif direction != COLS_GIVEN_ROWS:
+    if direction not in (ROWS_GIVEN_COLS, COLS_GIVEN_ROWS):
         raise ComputationError(f"unknown direction {direction!r}")
-    n = t.total
+    counts = t.counts.T if direction == ROWS_GIVEN_COLS else t.counts
+    n = int(counts.sum())
     if n < 1:
         raise ComputationError("empty table")
-    r, c = np.nonzero(t.counts)
+    r, c = np.nonzero(counts)
     starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-    return float(_grouped_entropy(t.counts[r, c], starts, np.zeros_like(starts), n)[0])
+    return float(_grouped_entropy(counts[r, c], starts, np.zeros_like(starts), n)[0])
 
 
 #: Cells (feature sets x units) counted per batch by the entropy kernel;

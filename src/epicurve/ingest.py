@@ -2,7 +2,7 @@
 
 Input files are plain CSV:
 
-* cases:    header ``unit_id,date,count``, ISO dates, one row per unit-day
+* cases:    header ``unit_id,date,count``, ``YYYY-MM-DD`` dates, one row per unit-day
 * metadata: header ``unit_id,city_code,district_letter,age_group,population,region,status``
 
 A gap in the day axis of a unit is a hard error, never an implicit zero,
@@ -15,6 +15,7 @@ import contextlib
 import csv
 import datetime as dt
 import operator
+import re
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
@@ -70,6 +71,14 @@ def _open_input(path):
             yield fh
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def iso_date(text: str) -> dt.date:
+    """The date of ``YYYY-MM-DD`` text, on every Python version (from 3.11
+    ``date.fromisoformat`` also reads ``20220325`` and ``2022-W12-5``)."""
+    if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(text)
 
 
 CASE_COLUMNS = ("unit_id", "date", "count")
@@ -144,7 +153,7 @@ def parse_case_series(path) -> CaseCounts:
             unit_of[unit] = names.setdefault(unit.strip(), len(names))
         if date not in day_of:
             try:
-                day_of[date] = dt.date.fromisoformat(date.strip()).toordinal()
+                day_of[date] = iso_date(date.strip()).toordinal()
             except ValueError as exc:
                 raise fail(f"unparseable date {date.strip()!r}") from exc
         if count not in count_of:

@@ -16,7 +16,6 @@ baselines is classed as an order-2 (interaction) effect.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -280,15 +279,11 @@ def factor_report(
     """Side-by-side ranked table of 1-feature and 2-feature scans.
 
     Columns: ``1-feature, CE, SCE-drop, 2-feature, CE, SCE-drop`` with
-    re-scaled CE at 4 decimals; top_k head rows plus bottom_k tail rows.
+    re-scaled CE at 4 decimals; top_k head rows plus bottom_k tail rows,
+    each clamped to the rows a scan has.
     """
     if not scan1 or not scan2:
         raise ComputationError("empty scan")
-    rows = max(len(scan1), len(scan2))
-    if top_k + bottom_k > rows:
-        warnings.warn(
-            f"top {top_k} + bottom {bottom_k} exceeds {rows} results; clamping"
-        )
 
     def pick(scan):
         k_top = min(top_k, len(scan))

@@ -19,13 +19,14 @@ import hashlib
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from . import cluster_fuse, curve_features, infotheory, major_factor
+from . import cluster_fuse, curve_features, infotheory, ingest, major_factor
 from .curve_features import FEATURE_COLUMNS, SHAPE_FEATURES
 from .errors import ComputationError, ConfigError, DataError
 from .ingest import REGIONS, STATUSES, _open_input, parse_case_series, parse_unit_metadata
@@ -120,8 +121,8 @@ def _float(value) -> float:
 
 
 def _date(value) -> dt.date:
-    """A plain date or its ISO text, refusing timestamps."""
-    return value if type(value) is dt.date else dt.date.fromisoformat(str(value))
+    """A plain date or its YYYY-MM-DD text, refusing timestamps."""
+    return value if type(value) is dt.date else ingest.iso_date(str(value))
 
 
 def _list_of(convert, least: int = 0, unique: bool = False):
@@ -288,7 +289,14 @@ def load_config(path: str) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# artifact helpers
+# warning and artifact helpers
+
+def _warn(category, what: str, names) -> None:
+    """One warning of ``category``, ``what`` followed by every one of ``names``;
+    none when ``names`` is empty."""
+    if names:
+        warnings.warn(f"{what}: {', '.join(names)}", category, stacklevel=2)
+
 
 def _make_output(cfg: PipelineConfig, name: str) -> None:
     """Create the output directory, or fail as writing artifact ``name`` there would."""
@@ -417,7 +425,7 @@ def _feature_cells(column: str, values: np.ndarray) -> np.ndarray:
 def _feature_value(column: str, text: str) -> float:
     """Inverse of _feature_cell: an empty cell is NaN, any other must be finite."""
     if column == "peakdate":
-        return float(dt.date.fromisoformat(text).toordinal())
+        return float(ingest.iso_date(text).toordinal())
     value = float(text) if text else math.nan
     if text and not math.isfinite(value):  # NaN is kept for NA
         raise ValueError(text)
@@ -458,6 +466,10 @@ def stage_features(cfg: PipelineConfig) -> None:
     smoothed = curve_features.smooth_rows(units, rates)
     table = curve_features.extract_features_batch(
         units, cfg.window_start + dt.timedelta(days=6), smoothed)
+    # NaN curvature marks exactly the edge peaks: any other censored row raised
+    _warn(curve_features.BoundaryPeakWarning, "peak within 6 days of the window edge, "
+          "curvature-dependent features set to NA",
+          [u for u, c in zip(units, table["curvature"].tolist()) if math.isnan(c)])
     _write_table(cfg, "features.csv", units,
                  {c: _feature_cells(c, values) for c, values in table.items()})
 
@@ -475,17 +487,20 @@ def stage_associate(cfg: PipelineConfig) -> None:
     """Discretize features and compute association matrices/networks."""
     units, features = read_features_csv(_require(cfg, "features.csv"))
     names = ("peakdate",) + SHAPE_FEATURES
-    columns, edges = {}, []
+    columns, edges = {}, {}
     for name in names:
         try:
-            columns[name], e = infotheory.discretize(features[name], cfg.n_bins)
+            columns[name], edges[name] = infotheory.discretize(features[name], cfg.n_bins)
         except ComputationError as exc:
             raise ComputationError(f"feature {name!r}: {exc}") from exc
-        edges.append(np.full(cfg.n_bins - 1, math.nan) if e is None else e)
+    _warn(infotheory.DegenerateColumnWarning,
+          f"fewer than {cfg.n_bins} distinct values, distinct-value bins used",
+          [name for name, e in edges.items() if e is None])
 
     _write_table(cfg, "categorical.csv", units, columns)
-    _write_matrix(cfg, "bin_edges.csv", "feature",
-                  [f"edge{i}" for i in range(1, cfg.n_bins)], names, edges)
+    _write_matrix(cfg, "bin_edges.csv", "feature", [f"edge{i}" for i in range(1, cfg.n_bins)],
+                  names, [np.full(cfg.n_bins - 1, math.nan) if e is None else e
+                          for e in edges.values()])
     matrices = dict(zip(("directed", "mutual"), infotheory.association_matrices(columns)))
     for kind, matrix in matrices.items():
         _write_matrix(cfg, f"association_{kind}.csv", "feature", names, names, matrix)
@@ -518,18 +533,19 @@ def read_categorical_csv(path: str):
 def stage_fuse(cfg: PipelineConfig) -> None:
     """K-means fuse feature blocks into categorical features."""
     units, columns = read_features_csv(_require(cfg, "features.csv"))
-    fused_cols: dict[str, np.ndarray] = {}
+    fits = {}
     for spec in cfg.fusions:
         matrix = np.column_stack([columns[c] for c in spec.columns])
-        fused = cluster_fuse.kmeans_fuse(
+        fits[spec.name] = fused = cluster_fuse.kmeans_fuse(
             matrix, spec.columns, spec.name,
             k=spec.k, seed=spec.seed, restarts=spec.restarts,
         )
-        fused_cols[spec.name] = fused.labels
         _write_matrix(cfg, f"fusion_{spec.name}_centroids.csv", "cluster", spec.columns,
                       range(1, spec.k + 1), fused.centroids)
-    if fused_cols:  # no fusion, no fused.csv: nothing reads or lists it
-        _write_table(cfg, "fused.csv", units, fused_cols)
+    if fits:  # no fusion, no fused.csv: nothing reads or lists it
+        _write_table(cfg, "fused.csv", units, {name: f.labels for name, f in fits.items()})
+    _warn(UserWarning, f"K-means stopped at {cluster_fuse._MAX_ITER} Lloyd iterations "
+          "before its labels repeated", [name for name, f in fits.items() if not f.converged])
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +632,10 @@ def stage_select(cfg: PipelineConfig) -> None:
 def _write_reports(cfg, response, scans, top, bottom) -> None:
     if len(scans) < 2 or not scans[1]:
         return
+    rows = max(len(scans[0]), len(scans[1]))
+    if top + bottom > rows:
+        warnings.warn(f"report_{response}: top {top} + bottom {bottom} exceeds "
+                      f"{rows} results; clamping")
     for ext, md in (("txt", False), ("md", True)):
         report = major_factor.factor_report(scans[0], scans[1], top, bottom, markdown=md)
         _write(cfg, f"report_{response}.{ext}", lambda fh: fh.write(report))
@@ -633,6 +653,12 @@ def stage_cluster(cfg: PipelineConfig) -> None:
             tree, excluded = cluster_fuse.hcluster_ward(matrix, units)
         except ComputationError as exc:
             raise ComputationError(f"{spec.name}: {exc}") from exc
+        inverted, top = [], 0.0  # merges below the highest one before them
+        for step, (*_, height) in enumerate(tree.merges):
+            if height < top - 1e-9:
+                inverted.append(f"merge {step} ({height:.6g} < {top:.6g})")
+            top = max(top, height)
+        _warn(UserWarning, f"Ward.D2 height inversion in {spec.name}", inverted)
         # the similarity in tree leaf order, which the CSV and the heatmap share
         codes = cluster_fuse.leaf_codes(tree)
         labels = [tree.leaf_labels[i] for i in codes.leaf_order]

@@ -8,6 +8,7 @@ import datetime as dt
 import io
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -16,7 +17,6 @@ import numpy as np
 from epicurve.curve_features import (
     FEATURE_ALPHAS,
     FEATURE_COLUMNS,
-    BoundaryPeakWarning,
     CurveFeatures,
     find_peak,
 )
@@ -25,7 +25,6 @@ from epicurve.infotheory import (
     COLS_GIVEN_ROWS,
     ROWS_GIVEN_COLS,
     ContingencyTable,
-    DegenerateColumnWarning,
     _conditional_entropies,
     _grouped_entropy,
     entropy,
@@ -393,7 +392,7 @@ def oracle_contingency(x, y) -> ContingencyTable:
 
 def oracle_conditional_entropy(t: ContingencyTable) -> float:
     """H(col | row) as a loop over rows in ascending label order."""
-    n = t.total
+    n = t.counts.sum()
     h = 0.0
     for row in t.counts:
         nr = row.sum()
@@ -457,12 +456,7 @@ def oracle_extract_features(s) -> CurveFeatures:
     peakdate = s.start_date + dt.timedelta(days=t_max)
     n = len(s.values)
 
-    if t_max < 6 or t_max > n - 7:
-        warnings.warn(
-            f"{s.unit_id}: peak within 6 days of the window edge; "
-            "curvature-dependent features set to NA",
-            BoundaryPeakWarning,
-        )
+    if t_max < 6 or t_max > n - 7:  # a boundary peak: curvature-based features NA
         return CurveFeatures(
             unit_id=s.unit_id,
             peakdate=peakdate,
@@ -500,6 +494,13 @@ def oracle_extract_features(s) -> CurveFeatures:
     )
 
 
+def oracle_iso_date(text: str) -> dt.date:
+    """The date of ``YYYY-MM-DD`` text, read field by field."""
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(text)
+    return dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
+
+
 def oracle_parse_case_series(path) -> dict[str, RawSeries]:
     """Case CSV parse with csv.DictReader, one date parse and one
     date-keyed insert per row; rows must have every header cell."""
@@ -514,7 +515,7 @@ def oracle_parse_case_series(path) -> dict[str, RawSeries]:
             if not unit:
                 raise DataError(f"row {row_no}: empty unit_id")
             try:
-                day = dt.date.fromisoformat(row["date"].strip())
+                day = oracle_iso_date(row["date"].strip())
             except ValueError as exc:
                 raise DataError(
                     f"row {row_no}: unparseable date {row['date'].strip()!r}") from exc
@@ -627,12 +628,7 @@ def oracle_discretize(values, n_bins: int = 4):
     distinct = np.unique(present)
     cats = np.zeros(len(vals), dtype=int)
 
-    if distinct.size < n_bins:
-        warnings.warn(
-            f"degenerate column: {distinct.size} distinct values for "
-            f"{n_bins} bins; using distinct-value bins",
-            DegenerateColumnWarning,
-        )
+    if distinct.size < n_bins:  # a degenerate column: distinct-value bins
         lookup = {v: i + 1 for i, v in enumerate(distinct)}
         for i, v in enumerate(vals):
             if v is not None:
@@ -674,7 +670,6 @@ def oracle_hcluster_ward(matrix, leaf_labels):
     min_leaf = {i: i for i in range(n)}
     active = set(range(n))
     merges = []
-    prev_height = 0.0
     for step in range(n - 1):
         node = n + step
         best_key = None
@@ -686,13 +681,6 @@ def oracle_hcluster_ward(matrix, leaf_labels):
                 best_key, best = key, (i, j)
         i, j = best
         height = float(np.sqrt(d2[(i, j)]))
-        if height < prev_height - 1e-9:
-            warnings.warn(
-                f"Ward.D2 height inversion at merge {step}: "
-                f"{height:.6g} < {prev_height:.6g}"
-            )
-        prev_height = max(prev_height, height)
-
         left, right = (i, j) if min_leaf[i] <= min_leaf[j] else (j, i)
         merges.append((node, left, right, height))
 
@@ -710,6 +698,18 @@ def oracle_hcluster_ward(matrix, leaf_labels):
         min_leaf[node] = min(min_leaf[i], min_leaf[j])
 
     return HCTree(leaf_labels=tuple(kept), merges=tuple(merges)), excluded
+
+
+def oracle_height_inversions(tree) -> list[tuple[int, float, float]]:
+    """(step, height, highest earlier height) of each merge more than 1e-9
+    below a merge before it; the first merge is compared with 0."""
+    heights = [height for *_, height in tree.merges]
+    out = []
+    for step, height in enumerate(heights):
+        highest = max([0.0] + heights[:step])
+        if height < highest - 1e-9:
+            out.append((step, height, highest))
+    return out
 
 
 def oracle_codes(tree) -> dict[int, str]:
@@ -806,7 +806,10 @@ def stage_cluster_texts(tree) -> dict[str, str]:
         open(os.path.join(out, "features.csv"), "w").close()
         features = (list(tree.leaf_labels), {"left30": np.zeros(len(tree.leaf_labels))})
         with mock.patch.object(pipeline, "read_features_csv", return_value=features), \
-                mock.patch.object(cluster_fuse, "hcluster_ward", return_value=(tree, [])):
+                mock.patch.object(cluster_fuse, "hcluster_ward", return_value=(tree, [])), \
+                warnings.catch_warnings():
+            # heights of a made-up tree may fall; the render does not read them
+            warnings.filterwarnings("ignore", "Ward.D2 height inversion")
             pipeline.stage_cluster(cfg)
         texts = {}
         for kind, name in (("tree", "tree_t.csv"), ("similarity", "similarity_t.csv"),
@@ -875,6 +878,7 @@ def oracle_kmeans_fuse(matrix, column_names, name, k=4, seed=0, restarts=100):
         return centroids
 
     def lloyd(x, centroids):
+        """(labels, centroids, inertia, whether the labels repeated)."""
         k = centroids.shape[0]
         labels = np.full(x.shape[0], -1)
         for _ in range(cluster_fuse._MAX_ITER):
@@ -892,9 +896,9 @@ def oracle_kmeans_fuse(matrix, column_names, name, k=4, seed=0, restarts=100):
                     worst = int(np.argmax(d2[np.arange(len(labels)), labels]))
                     centroids[c] = x[worst]
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(len(labels)), labels].sum())
-        return labels, centroids, inertia
+        final = np.argmin(d2, axis=1)
+        inertia = float(d2[np.arange(len(final)), final].sum())
+        return final, centroids, inertia, bool(np.array_equal(final, labels))
 
     matrix = np.asarray(matrix, dtype=float)
     complete = ~np.isnan(matrix).any(axis=1)
@@ -909,10 +913,10 @@ def oracle_kmeans_fuse(matrix, column_names, name, k=4, seed=0, restarts=100):
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        labels, centroids, inertia = lloyd(xs, kmeans_pp_init(xs, k, rng))
-        if best is None or inertia < best[2] - 1e-12:
-            best = (labels, centroids, inertia)
-    labels, centroids, inertia = best
+        fit = lloyd(xs, kmeans_pp_init(xs, k, rng))
+        if best is None or fit[2] < best[2] - 1e-12:
+            best = fit
+    labels, centroids, inertia, converged = best
 
     remap: dict[int, int] = {}
     for lab in labels:
@@ -925,4 +929,5 @@ def oracle_kmeans_fuse(matrix, column_names, name, k=4, seed=0, restarts=100):
     full[complete] = [remap[int(lab)] for lab in labels]
     return cluster_fuse.FusedFeature(
         source_columns=tuple(column_names), labels=full,
-        centroids=centroids[sorted(range(k), key=lambda c: remap[c])], inertia=inertia)
+        centroids=centroids[sorted(range(k), key=lambda c: remap[c])], inertia=inertia,
+        converged=converged)

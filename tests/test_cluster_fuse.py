@@ -103,6 +103,7 @@ def assert_kmeans_matches_oracle(matrix, k, seed, restarts):
     assert got.centroids.shape == want.centroids.shape
     assert got.centroids.tobytes() == want.centroids.tobytes()
     assert float.hex(got.inertia) == float.hex(want.inertia)
+    assert got.converged is want.converged
     return got
 
 
@@ -167,6 +168,7 @@ class TestKmeansOracle:
         monkeypatch.setattr(cluster_fuse, "_MAX_ITER", max_iter)
         stopped = assert_kmeans_matches_oracle(x, 6, 1, 12)
         assert stopped.inertia > full.inertia
+        assert full.converged and not stopped.converged
 
 
 class TestHclusterWard:

@@ -1,10 +1,10 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
 
 from epicurve.curve_features import (
-    BoundaryPeakWarning,
     FEATURE_ALPHAS,
     KERNEL,
     SmoothedSeries,
@@ -87,11 +87,13 @@ class TestFindPeak:
         with pytest.raises(ComputationError, match="no infection signal"):
             find_peak(smoothed([0, 0, 0]))
 
-    def test_boundary_peak_warns(self):
-        with pytest.warns(BoundaryPeakWarning):
-            find_peak(smoothed([5, 3, 1]))
-        with pytest.warns(BoundaryPeakWarning):
-            find_peak(smoothed([1, 3, 5]))
+    def test_boundary_peak_is_silent(self):
+        # a peak on either edge is found without a warning: the features
+        # stage reports boundary peaks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_peak(smoothed([5, 3, 1])) == (0, 5.0)
+            assert find_peak(smoothed([1, 3, 5])) == (2, 5.0)
 
 
 class TestCrossings:
@@ -156,7 +158,8 @@ class TestExtractFeatures:
 
     def test_boundary_peak_gives_na_features(self):
         vals = [0, 1, 2, 3, 100, 50, 25, 12, 6, 3, 1]
-        with pytest.warns(BoundaryPeakWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             f = extract_features(smoothed(vals))
         assert f.curvature is None
         assert f.robust_peak is None

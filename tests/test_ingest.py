@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicurve.errors import DataError
-from epicurve.ingest import META_COLUMNS, UnitMeta, parse_case_series, parse_unit_metadata
+from epicurve.ingest import (META_COLUMNS, UnitMeta, iso_date, parse_case_series,
+                             parse_unit_metadata)
 
 from helpers import (
     RawSeries,
     case_series,
     compute_daily_rates,
     end_date,
+    oracle_iso_date,
     oracle_parse_case_series,
     oracle_parse_unit_metadata,
     window_clip,
@@ -20,6 +22,26 @@ from helpers import (
 )
 
 D0 = dt.date(2022, 3, 25)
+
+
+def date_outcome(read, text):
+    try:
+        return read(text)
+    except ValueError:
+        return "refused"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.dates().map(dt.date.isoformat),
+    st.dates().map(lambda d: d.strftime("%Y%m%d")),  # read by Python 3.11 only
+    st.dates().map(lambda d: "{}-W{:02d}-{}".format(*d.isocalendar())),  # likewise
+    st.from_regex(r"\A[0-9\u0663]{4}-[0-9]{1,2}-[0-9]{2}\Z"),  # U+0663: Arabic-Indic 3
+    st.text(max_size=12)))
+def test_iso_date_reads_only_yyyy_mm_dd(text):
+    assert date_outcome(iso_date, text) == date_outcome(oracle_iso_date, text)
+    if len(text) != 10:
+        assert date_outcome(iso_date, text) == "refused"
 
 
 def write_cases(path, rows):

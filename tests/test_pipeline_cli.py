@@ -500,6 +500,14 @@ def _both_timestamps(d):
     d["window"] = {"start": dt.datetime(2022, 3, 25), "end": dt.datetime(2022, 8, 19)}
 
 
+def _start_basic_form(d):
+    d["window"]["start"] = 20220325  # a YAML int, read as a date by Python 3.11
+
+
+def _end_week_date(d):
+    d["window"]["end"] = "2022-W33-5"  # 2022-08-19 to Python 3.11
+
+
 INVALID_CONFIGS = [
     (_restarts_zero, "restarts must be >= 1"),
     (_replicates_zero, "replicates must be >= 1"),
@@ -548,6 +556,8 @@ INVALID_CONFIGS = [
     (_start_timestamp, "window: bad start datetime.datetime(2022, 3, 25, 10, 0)"),
     (_end_timestamp, "window: bad end datetime.datetime(2022, 8, 19, 10, 0)"),
     (_both_timestamps, "window: bad start datetime.datetime(2022, 3, 25, 0, 0)"),
+    (_start_basic_form, "window: bad start 20220325"),
+    (_end_week_date, "window: bad end '2022-W33-5'"),
 ]
 
 
@@ -697,6 +707,21 @@ def _bad_peakdate(text):
     return "".join(lines)
 
 
+def _basic_form_date(text):
+    lines = text.splitlines(keepends=True)
+    unit, date, count = lines[2].split(",")
+    lines[2] = f"{unit},{date.replace('-', '')},{count}"
+    return "".join(lines)
+
+
+def _week_peakdate(text):
+    lines = text.splitlines(keepends=True)
+    unit, date, rest = lines[1].split(",", 2)
+    year, week, day = dt.date.fromisoformat(date).isocalendar()
+    lines[1] = f"{unit},{year}-W{week:02d}-{day},{rest}"
+    return "".join(lines)
+
+
 def _infinite_peakvalue(text):
     lines = text.splitlines(keepends=True)
     unit, date, _value, rest = lines[1].split(",", 3)
@@ -752,6 +777,8 @@ CORRUPT_INPUTS = [
     ("features", "cases.csv", _drop_count_cell, "data error: row 3: missing count"),
     ("features", "cases.csv", _unit_id_only, "data error: row 3: missing date, count"),
     ("features", "cases.csv", _oversized_count, "data error: row 3: count too large"),
+    ("features", "cases.csv", _basic_form_date,
+     r"data error: row 3: unparseable date '2022\d{4}'"),
     ("features", "cases.csv", _stray_quote,
      r"cannot read .*cases\.csv: field larger than field limit \(131072\)"),
     ("features", "meta.csv", _cut_after_population,
@@ -760,6 +787,8 @@ CORRUPT_INPUTS = [
      "data error: row 2: [^:]+: population too large"),
     ("associate", "out/features.csv", _bad_peakdate,
      "features.csv: row 2: unparseable peakdate '2022-13-45'"),
+    ("associate", "out/features.csv", _week_peakdate,
+     r"features.csv: row 2: unparseable peakdate '2022-W\d\d-\d'"),
     ("fuse", "out/features.csv", _infinite_peakvalue,
      "features.csv: row 2: unparseable peakvalue 'inf'"),
     ("associate", "out/features.csv", _nan_peakvalue,
