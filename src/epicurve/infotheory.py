@@ -110,7 +110,7 @@ BATCH_CELLS = 1 << 14
 _KEY_LIMIT = 1 << 62
 
 #: Cell ids per counted cell above which a batch re-codes them before counting.
-_SPACE_PER_CELL = 4
+_SPACE_PER_CELL = 8
 
 
 def _dense(x) -> np.ndarray:

@@ -28,9 +28,9 @@ REGIONS = ("North", "South")
 STATUSES = ("Urban", "Suburban")
 
 
-@dataclass(frozen=True)
-class UnitMeta:
-    """Static attributes of one unit (district or district-age-group)."""
+class UnitMeta(NamedTuple):
+    """Static attributes of one unit (district or district-age-group), as
+    parse_unit_metadata checked them."""
 
     unit_id: str
     city_code: str
@@ -40,17 +40,21 @@ class UnitMeta:
     status: str
     age_group: Optional[int] = None
 
-    def __post_init__(self):
-        if self.population <= 0:
-            raise DataError(f"{self.unit_id}: population must be positive")
-        if self.population > 2**63 - 1:  # populations become an int64 array
-            raise DataError(f"{self.unit_id}: population too large")
-        if self.region not in REGIONS:
-            raise DataError(f"{self.unit_id}: region must be one of {REGIONS}")
-        if self.status not in STATUSES:
-            raise DataError(f"{self.unit_id}: status must be one of {STATUSES}")
-        if self.age_group is not None and self.age_group not in (1, 2, 3, 4):
-            raise DataError(f"{self.unit_id}: age_group must be in 1..4")
+
+def _meta_error(population: int, region: str, status: str,
+                age_group: Optional[int]) -> Optional[str]:
+    """The first thing wrong with a unit's metadata values, or None."""
+    if population <= 0:
+        return "population must be positive"
+    if population > 2**63 - 1:  # populations become an int64 array
+        return "population too large"
+    if region not in REGIONS:
+        return f"region must be one of {REGIONS}"
+    if status not in STATUSES:
+        return f"status must be one of {STATUSES}"
+    if age_group is not None and age_group not in (1, 2, 3, 4):
+        return "age_group must be in 1..4"
+    return None
 
 
 @dataclass(frozen=True)
@@ -234,10 +238,11 @@ def parse_unit_metadata(path) -> dict[str, UnitMeta]:
                 population = int(pop_raw)
             except ValueError as exc:
                 raise DataError(f"row {row_no}: bad population {pop_raw!r}") from exc
-            try:
-                out[unit] = UnitMeta(unit, city.strip(), letter.strip(), population,
-                                     region.strip(), status.strip(), age)
-            except DataError as exc:
-                raise DataError(f"row {row_no}: {exc}") from exc
+            region, status = region.strip(), status.strip()
+            error = _meta_error(population, region, status, age)
+            if error:
+                raise DataError(f"row {row_no}: {unit}: {error}")
+            out[unit] = UnitMeta(unit, city.strip(), letter.strip(), population, region,
+                                 status, age)
     return out
 

@@ -48,6 +48,30 @@ class FeatureSetResult:
     sce_drop: float
 
 
+@dataclass(frozen=True, eq=False)
+class Level(Sequence):
+    """One order of a scan as arrays in ranked order: each set's (m, k) member
+    indices into the sorted candidate ``names`` and its values, one array per
+    FeatureSetResult field. Indexing builds FeatureSetResults, so only the rows
+    read cost an object."""
+
+    names: tuple[str, ...]
+    sets: np.ndarray
+    ce: np.ndarray
+    rescaled_ce: np.ndarray
+    ce_drop: np.ndarray
+    sce_drop: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ce)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return FeatureSetResult(tuple(self.names[j] for j in self.sets[i].tolist()), *(
+            float(v[i]) for v in (self.ce, self.rescaled_ce, self.ce_drop, self.sce_drop)))
+
+
 @dataclass(frozen=True)
 class NullDropStats:
     """Mean and 95th percentile of the permutation-null entropy drop from one candidate."""
@@ -79,37 +103,37 @@ def joint_conditional_entropy(y: Sequence[int], cols: Sequence[Sequence[int]]) -
     return float(_conditional_entropies(y, columns, [range(len(cols))])[0])
 
 
-def scan(
-    y: Sequence[int], candidates: dict[str, Sequence[int]], order: int
-) -> list[list[FeatureSetResult]]:
+def scan(y: Sequence[int], candidates: dict[str, Sequence[int]], order: int) -> list[Level]:
     """CE of the response given every candidate set of 1..order features.
 
-    Returns one list per set size, each ranked ascending by CE with ties
-    broken on feature names, so the ranking is independent of the
-    candidates' input order. Each SCE-drop comes from the CEs of the
-    subsets one size down (H(Y) for singletons), so no CE is counted twice.
+    Returns one Level per set size, ranked ascending by CE with ties broken
+    on feature names, so the ranking is independent of the candidates' input
+    order. Each SCE-drop is gathered from the CEs of the level one size down
+    (H(Y) for singletons), so no CE is counted twice.
     """
     if not candidates:
         raise ComputationError("no candidates")
-    names = sorted(candidates)
+    names = tuple(sorted(candidates))
     y, columns = _encode(y, [candidates[name] for name in names])
-    h_y = _marginal_entropy(y)
-    ce = {(): h_y}
+    h_y, p = _marginal_entropy(y), len(names)
+    # the CEs of the level below and its dense (p,) * (k - 1) index from a set's
+    # members to its row there; below order 1 is H(Y) alone
+    below, row = np.array([h_y]), np.zeros((), dtype=int)
     levels = []
     for k in range(1, order + 1):
-        sets = list(combinations(range(len(names)), k))
-        values = _conditional_entropies(y, columns, np.reshape(sets, (-1, k)))
-        level = []
-        for s, v in zip(sets, values.tolist()):
-            ce[s] = v
-            level.append(FeatureSetResult(
-                feature_names=tuple(names[i] for i in s),
-                ce=v,
-                rescaled_ce=v / h_y if h_y > 0 else 0.0,
-                ce_drop=h_y - v,
-                sce_drop=min(ce[s[:i] + s[i + 1:]] - v for i in range(k)),
-            ))
-        levels.append(sorted(level, key=lambda r: (r.ce, r.feature_names)))
+        # combinations over sorted names come in name order, so a stable sort
+        # on CE breaks ties on names
+        sets = np.array(list(combinations(range(p), k)), dtype=int).reshape(-1, k)
+        ce = _conditional_entropies(y, columns, sets)
+        sce_drop = np.minimum.reduce(
+            [below[row[tuple(np.delete(sets, i, axis=1).T)]] - ce for i in range(k)])
+        rescaled_ce = ce / h_y if h_y > 0 else np.zeros_like(ce)
+        rank = np.argsort(ce, kind="stable")
+        levels.append(Level(names, sets[rank], *(
+            v[rank] for v in (ce, rescaled_ce, h_y - ce, sce_drop))))
+        if k < order:
+            below, row = ce, np.zeros((p,) * k, dtype=int)
+            row[tuple(sets.T)] = np.arange(len(sets))
     return levels
 
 
@@ -117,7 +141,7 @@ def scan_order1(
     y: Sequence[int], candidates: dict[str, Sequence[int]]
 ) -> list[FeatureSetResult]:
     """CE of the response given each single candidate, ranked ascending."""
-    return scan(y, candidates, 1)[0]
+    return list(scan(y, candidates, 1)[0])
 
 
 def scan_order2(
@@ -126,7 +150,7 @@ def scan_order2(
     """CE of the response given each unordered candidate pair, ranked ascending."""
     if len(candidates) < 2:
         raise ComputationError("need at least 2 candidates")
-    return scan(y, candidates, 2)[1]
+    return list(scan(y, candidates, 2)[1])
 
 
 #: Hash constants of numpy's SeedSequence (bit_generator.pyx) and the PCG64 multiplier.

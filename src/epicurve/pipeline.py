@@ -591,26 +591,37 @@ SCAN_COLUMNS = ("features", "ce", "rescaled_ce", "ce_drop", "sce_drop",
                 "null_mean", "null_q95", "significant", "classification")
 
 
-def _scan_rows(scans, nulls):
-    """scan CSV rows of every level in order. A single shows its own null and is
-    significant when its CE-drop beats that null's q95; a pair is significant when
-    its SCE-drop beats the larger of its members' q95s, and classify_pair classes
-    it; a triple is descriptive only and leaves the four null cells empty."""
-    singles = {r.feature_names[0]: r for r in scans[0]}
-    for r in (r for level in scans for r in level):
-        names, judged = r.feature_names, ["", "", "", ""]
-        if len(names) == 1:
-            null = nulls[names[0]]
-            sig = r.ce_drop > null.q95 + major_factor.EPS
-            judged = [f"{null.mean:.6f}", f"{null.q95:.6f}", str(sig).lower(),
-                      major_factor.ORDER1 if sig else major_factor.INSIGNIFICANT]
-        elif len(names) == 2:
-            a, b = names
-            sig = r.sce_drop > max(nulls[a].q95, nulls[b].q95) + major_factor.EPS
-            judged = ["", "", str(sig).lower(), major_factor.classify_pair(
-                r, singles[a], singles[b], nulls[a], nulls[b])]
-        yield ["_".join(names), f"{r.ce:.6f}", f"{r.rescaled_ce:.6f}", f"{r.ce_drop:.6f}",
-               f"{r.sce_drop:.6f}", *judged]
+def _fixed(values: np.ndarray) -> list[str]:
+    return [f"{v:.6f}" for v in values.tolist()]
+
+
+def _scan_rows(levels, nulls):
+    """scan CSV rows of every level in order, each level judged and formatted a
+    column at a time. A single shows its own null and is significant when its
+    CE-drop beats that null's q95; a pair is significant when its SCE-drop beats
+    the larger of its members' q95s, and classify_pair classes it; a triple is
+    descriptive only and leaves the four null cells empty. ``nulls`` are in
+    candidate order."""
+    mean, q95 = np.array([n.mean for n in nulls]), np.array([n.q95 for n in nulls])
+    singles = dict(zip(levels[0].sets[:, 0].tolist(), levels[0]))
+    names = np.array(levels[0].names, dtype=object)
+    for level in levels:
+        sets, blank = level.sets, [""] * len(level)
+        cells = [["_".join(s) for s in names[sets].tolist()], *(
+            _fixed(v) for v in (level.ce, level.rescaled_ce, level.ce_drop, level.sce_drop))]
+        if sets.shape[1] == 1:
+            sig = level.ce_drop > q95[sets[:, 0]] + major_factor.EPS
+            cells += [_fixed(mean[sets[:, 0]]), _fixed(q95[sets[:, 0]]),
+                      np.where(sig, "true", "false").tolist(),
+                      np.where(sig, major_factor.ORDER1, major_factor.INSIGNIFICANT).tolist()]
+        elif sets.shape[1] == 2:
+            sig = level.sce_drop > q95[sets].max(axis=1) + major_factor.EPS
+            cells += [blank, blank, np.where(sig, "true", "false").tolist(), [
+                major_factor.classify_pair(r, singles[a], singles[b], nulls[a], nulls[b])
+                for r, (a, b) in zip(level, sets.tolist())]]
+        else:
+            cells += [blank] * 4
+        yield from zip(*cells)
 
 
 def stage_select(cfg: PipelineConfig) -> None:
@@ -620,13 +631,13 @@ def stage_select(cfg: PipelineConfig) -> None:
                 for i in range(len(spec.candidates))}
     orders = {}
     for k, (spec, y, candidates) in enumerate(_scan_inputs(cfg)):
-        scans, names = major_factor.scan(y, candidates, spec.order), sorted(candidates)
-        nulls = dict(zip(names, major_factor.noise_thresholds(
+        levels, names = major_factor.scan(y, candidates, spec.order), sorted(candidates)
+        nulls = major_factor.noise_thresholds(
             y, [], [candidates[c] for c in names], spec.replicates,
-            range(spec.seed, spec.seed + len(names)), orders)))
+            range(spec.seed, spec.seed + len(names)), orders)
         orders = {key: v for key, v in orders.items() if last_use[key] > k}
-        _write_csv(cfg, f"scan_{spec.response}.csv", SCAN_COLUMNS, _scan_rows(scans, nulls))
-        _write_reports(cfg, spec.response, scans, spec.top, spec.bottom)
+        _write_csv(cfg, f"scan_{spec.response}.csv", SCAN_COLUMNS, _scan_rows(levels, nulls))
+        _write_reports(cfg, spec.response, levels, spec.top, spec.bottom)
 
 
 def _write_reports(cfg, response, scans, top, bottom) -> None:

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import datetime as dt
 import io
+import itertools
 import math
 import os
 import re
@@ -14,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from epicurve import major_factor
 from epicurve.curve_features import (
     FEATURE_ALPHAS,
     FEATURE_COLUMNS,
@@ -31,7 +33,7 @@ from epicurve.infotheory import (
     rescaled_ce,
 )
 from epicurve.ingest import META_COLUMNS, CaseCounts, RateSeries, UnitMeta, _open_input
-from epicurve.major_factor import NullDropStats, _encode, _marginal_entropy
+from epicurve.major_factor import FeatureSetResult, NullDropStats, _encode, _marginal_entropy
 
 START = dt.date(2022, 3, 25)
 END = dt.date(2022, 8, 19)
@@ -355,6 +357,57 @@ def oracle_noise_threshold(y, existing, candidate, replicates: int = 200,
     return NullDropStats(mean=float(drops.mean()), q95=float(np.percentile(drops, 95)))
 
 
+def oracle_scan(y, candidates: dict, order: int) -> list[list[FeatureSetResult]]:
+    """major_factor.scan one feature set at a time: a FeatureSetResult per set,
+    each SCE-drop from a dict of the CEs one size down, and each level sorted
+    on (CE, feature names) tuples."""
+    if not candidates:
+        raise ComputationError("no candidates")
+    names = sorted(candidates)
+    y, columns = _encode(y, [candidates[name] for name in names])
+    h_y = _marginal_entropy(y)
+    ce = {(): h_y}
+    levels = []
+    for k in range(1, order + 1):
+        sets = list(itertools.combinations(range(len(names)), k))
+        values = _conditional_entropies(y, columns, np.reshape(sets, (-1, k)))
+        level = []
+        for s, v in zip(sets, values.tolist()):
+            ce[s] = v
+            level.append(FeatureSetResult(
+                feature_names=tuple(names[i] for i in s),
+                ce=v,
+                rescaled_ce=v / h_y if h_y > 0 else 0.0,
+                ce_drop=h_y - v,
+                sce_drop=min(ce[s[:i] + s[i + 1:]] - v for i in range(k)),
+            ))
+        levels.append(sorted(level, key=lambda r: (r.ce, r.feature_names)))
+    return levels
+
+
+def oracle_scan_rows(scans, nulls: dict):
+    """scan CSV rows of every level in order, one FeatureSetResult at a time.
+    A single shows its own null and is significant when its CE-drop beats that
+    null's q95; a pair is significant when its SCE-drop beats the larger of its
+    members' q95s, and classify_pair classes it; a triple leaves the four null
+    cells empty."""
+    singles = {r.feature_names[0]: r for r in scans[0]}
+    for r in (r for level in scans for r in level):
+        names, judged = r.feature_names, ["", "", "", ""]
+        if len(names) == 1:
+            null = nulls[names[0]]
+            sig = r.ce_drop > null.q95 + major_factor.EPS
+            judged = [f"{null.mean:.6f}", f"{null.q95:.6f}", str(sig).lower(),
+                      major_factor.ORDER1 if sig else major_factor.INSIGNIFICANT]
+        elif len(names) == 2:
+            a, b = names
+            sig = r.sce_drop > max(nulls[a].q95, nulls[b].q95) + major_factor.EPS
+            judged = ["", "", str(sig).lower(), major_factor.classify_pair(
+                r, singles[a], singles[b], nulls[a], nulls[b])]
+        yield ["_".join(names), f"{r.ce:.6f}", f"{r.rescaled_ce:.6f}", f"{r.ce_drop:.6f}",
+               f"{r.sce_drop:.6f}", *judged]
+
+
 def oracle_network_dot(names, matrix, tau: float, directed: bool, name: str) -> str:
     """DOT text of a threshold network by a nested loop over the matrix:
     an edge (names[i], names[j]) with weight 1 - entry wherever the entry
@@ -569,18 +622,27 @@ def oracle_parse_unit_metadata(path) -> dict[str, UnitMeta]:
                 raise DataError(
                     f"row {row_no}: bad population {row['population']!r}"
                 ) from exc
-            try:
-                out[unit] = UnitMeta(
-                    unit_id=unit,
-                    city_code=row["city_code"].strip(),
-                    district_letter=row["district_letter"].strip(),
-                    population=population,
-                    region=row["region"].strip(),
-                    status=row["status"].strip(),
-                    age_group=age,
-                )
-            except DataError as exc:
-                raise DataError(f"row {row_no}: {exc}") from exc
+            region, status = row["region"].strip(), row["status"].strip()
+            checks = [
+                (population <= 0, "population must be positive"),
+                (population >= 2**63, "population too large"),
+                (region not in ("North", "South"), "region must be one of ('North', 'South')"),
+                (status not in ("Urban", "Suburban"),
+                 "status must be one of ('Urban', 'Suburban')"),
+                (age not in (None, 1, 2, 3, 4), "age_group must be in 1..4"),
+            ]
+            failed = [message for bad, message in checks if bad]
+            if failed:
+                raise DataError(f"row {row_no}: {unit}: {failed[0]}")
+            out[unit] = UnitMeta(
+                unit_id=unit,
+                city_code=row["city_code"].strip(),
+                district_letter=row["district_letter"].strip(),
+                population=population,
+                region=region,
+                status=status,
+                age_group=age,
+            )
     return out
 
 

@@ -273,7 +273,7 @@ class TestScan:
                 sce = min(ce(names[:i] + names[i + 1:]) - r.ce for i in range(k))
                 assert float(r.sce_drop).hex() == float(sce).hex()
                 assert float(r.ce_drop).hex() == float(h_y - r.ce).hex()
-            assert level == sorted(level, key=lambda r: (r.ce, r.feature_names))
+            assert list(level) == sorted(level, key=lambda r: (r.ce, r.feature_names))
 
 
 class TestNoiseThreshold:
