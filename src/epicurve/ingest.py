@@ -96,13 +96,14 @@ class CaseCounts(NamedTuple):
     unit_ids: list[str]
     start_ordinals: np.ndarray  # day ordinal of each unit's first day
     lengths: np.ndarray  # days of data of each unit
-    counts: np.ndarray  # units × max(lengths), int64; 0 past a unit's last day
+    counts: np.ndarray  # int64, each unit's days one after another, in unit then day order
 
     def values(self):
         """Per unit, an object whose ``counts`` are its days, as in a
         ``{unit: series}`` mapping; bench/tracer.py counts rows through it."""
-        return (SimpleNamespace(counts=row[:n])
-                for row, n in zip(self.counts, self.lengths.tolist()))
+        # the piece past the last unit's end is empty, and is all there is without units
+        return (SimpleNamespace(counts=days)
+                for days in np.split(self.counts, np.cumsum(self.lengths))[:-1])
 
 
 def _drain(codes: list[int]) -> np.ndarray:
@@ -127,7 +128,7 @@ def _duplicate(unit_ids: list[str], units, days) -> Optional[DataError]:
 
 
 def parse_case_series(path) -> CaseCounts:
-    """Read a case CSV into one units × days count matrix.
+    """Read a case CSV into per-unit rows of daily counts.
 
     One csv.reader pass keeps the unit, day ordinal and count of each row,
     looked up by raw cell text, so each distinct text is parsed and checked
@@ -167,7 +168,7 @@ def parse_case_series(path) -> CaseCounts:
                 raise fail(f"unparseable count {count!r}") from exc
             if count_of[count] < 0:
                 raise fail(f"negative count for {unit.strip()}")
-            if count_of[count] > 2**63 - 1:  # the count matrix is int64
+            if count_of[count] > 2**63 - 1:  # counts are int64
                 raise fail("count too large")
         return unit_of[unit], day_of[date], count_of[count]
 
@@ -193,7 +194,9 @@ def parse_case_series(path) -> CaseCounts:
     unit_ids = list(names)
     u, d, c = map(_drain, (units, days, counts))  # one list at a time
     span = d.max(initial=0) + 1
-    keys = np.sort(u * span + d)  # by unit, then day
+    keys = u * span + d
+    order = np.argsort(keys, kind="stable")  # by unit, then day
+    keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
         raise _duplicate(unit_ids, u, d)
     lengths = np.bincount(u, minlength=len(unit_ids))
@@ -204,11 +207,7 @@ def parse_case_series(path) -> CaseCounts:
         raise DataError(f"{unit_ids[gaps[0]]}: gap in day axis between "
                         f"{dt.date.fromordinal(starts[gaps[0]])} and "
                         f"{dt.date.fromordinal(lasts[gaps[0]])}")
-    del keys  # so it is not live at the matrix fill, the parse's peak memory
-    d -= starts[u]  # each row's column in the matrix
-    matrix = np.zeros((len(unit_ids), lengths.max(initial=0)), dtype=np.int64)
-    matrix[u, d] = c
-    return CaseCounts(unit_ids, starts, lengths, matrix)
+    return CaseCounts(unit_ids, starts, lengths, c[order])
 
 
 def parse_unit_metadata(path) -> dict[str, UnitMeta]:

@@ -247,50 +247,40 @@ def noise_threshold(y: Sequence[int], existing: Sequence[Sequence[int]], candida
     return noise_thresholds(y, existing, [candidate], replicates, [seed], {})[0]
 
 
-def classify_pair(
-    result_pair: FeatureSetResult,
-    result_i: FeatureSetResult,
-    result_j: FeatureSetResult,
-    null_i: NullDropStats,
-    null_j: NullDropStats,
-) -> str:
-    """Classify a candidate pair against its members' singleton results.
-
-    ``null_i``/``null_j`` are the singleton permutation nulls of the two
-    members. Classification:
+def pair_classes(pairs, member_ce: np.ndarray, member_drop: np.ndarray,
+                 member_q95: np.ndarray) -> np.ndarray:
+    """Class each pair of a Level of pairs, or one FeatureSetResult, from
+    (m, 2) arrays of its members' singleton CE, singleton drop and
+    permutation-null q95. Each pair gets the first of these that holds:
 
     * order2-interaction: the pair's SCE-drop exceeds both the weaker
       member's singleton drop, ``min(drop_i, drop_j)``, and the larger of
       the two noise q95 baselines.
+    * redundant: some member is individually significant, and the weaker
+      member adds less than its noise baseline on top of the stronger one.
     * order1-pair: both members individually significant and the joint
       drop at most additive (two concurrent order-1 factors).
-    * redundant: the weaker member adds less than its noise baseline on
-      top of the stronger one.
     * insignificant: everything else.
     """
-    drop_i, drop_j = result_i.sce_drop, result_j.sce_drop
-    sig_i = drop_i > null_i.q95 + EPS
-    sig_j = drop_j > null_j.q95 + EPS
-    sce_pair = result_pair.sce_drop
-    q95_max = max(null_i.q95, null_j.q95)
-
-    if sce_pair > min(drop_i, drop_j) + EPS and sce_pair > q95_max + EPS:
-        return ORDER2_INTERACTION
-
+    sig = member_drop > member_q95 + EPS  # each member individually significant
     # incremental drop of the weaker member on top of the stronger one
-    if drop_i >= drop_j:
-        weak_inc = result_i.ce - result_pair.ce
-        weak_null = null_j
-    else:
-        weak_inc = result_j.ce - result_pair.ce
-        weak_null = null_i
-    if (sig_i or sig_j) and weak_inc <= weak_null.q95 + EPS:
-        return REDUNDANT
+    i_stronger = member_drop[:, 0] >= member_drop[:, 1]
+    weak_inc = np.where(i_stronger, member_ce[:, 0], member_ce[:, 1]) - pairs.ce
+    weak_q95 = np.where(i_stronger, member_q95[:, 1], member_q95[:, 0])
+    return np.select([
+        (pairs.sce_drop > member_drop.min(axis=1) + EPS)
+        & (pairs.sce_drop > member_q95.max(axis=1) + EPS),
+        sig.any(axis=1) & (weak_inc <= weak_q95 + EPS),
+        sig.all(axis=1) & (pairs.ce_drop <= member_drop.sum(axis=1) + EPS),
+    ], [ORDER2_INTERACTION, REDUNDANT, ORDER1_PAIR], INSIGNIFICANT)
 
-    if sig_i and sig_j and result_pair.ce_drop <= drop_i + drop_j + EPS:
-        return ORDER1_PAIR
 
-    return INSIGNIFICANT
+def classify_pair(result_pair: FeatureSetResult, result_i: FeatureSetResult,
+                  result_j: FeatureSetResult, null_i: NullDropStats, null_j: NullDropStats) -> str:
+    """The class of one pair, from its members' singleton results and nulls."""
+    return str(pair_classes(result_pair, np.array([[result_i.ce, result_j.ce]]),
+                            np.array([[result_i.sce_drop, result_j.sce_drop]]),
+                            np.array([[null_i.q95, null_j.q95]]))[0])
 
 
 def factor_report(

@@ -435,8 +435,8 @@ def _feature_value(column: str, text: str) -> float:
 def stage_features(cfg: PipelineConfig) -> None:
     """Extract per-unit curve features from the raw CSVs.
 
-    The window's counts of every unit, in sorted unit order, are cut out
-    of the parsed count matrix with one fancy index, so rates, smoothing
+    The window's counts of every unit, in sorted unit order, are gathered
+    from the parsed count rows with one fancy index, so rates, smoothing
     and crossings run over whole arrays.
     """
     _make_output(cfg, "features.csv")
@@ -460,7 +460,8 @@ def stage_features(cfg: PipelineConfig) -> None:
         last = first + dt.timedelta(days=int(lengths[order[i]]) - 1)
         raise DataError(f"{units[i]}: window [{cfg.window_start}, {cfg.window_end}] "
                         f"outside data [{first}, {last}]")
-    counts = case_counts[order[:, None], offsets[:, None] + np.arange(max(days, 0))]
+    first_row = (np.cumsum(lengths) - lengths)[order]
+    counts = case_counts[(first_row + offsets)[:, None] + np.arange(max(days, 0))]
     population = np.array([meta[unit].population for unit in units], dtype=np.int64)
     rates = counts / population[:, None] * cfg.rate_scale
     smoothed = curve_features.smooth_rows(units, rates)
@@ -599,11 +600,12 @@ def _scan_rows(levels, nulls):
     """scan CSV rows of every level in order, each level judged and formatted a
     column at a time. A single shows its own null and is significant when its
     CE-drop beats that null's q95; a pair is significant when its SCE-drop beats
-    the larger of its members' q95s, and classify_pair classes it; a triple is
+    the larger of its members' q95s, and pair_classes classes it; a triple is
     descriptive only and leaves the four null cells empty. ``nulls`` are in
     candidate order."""
     mean, q95 = np.array([n.mean for n in nulls]), np.array([n.q95 for n in nulls])
-    singles = dict(zip(levels[0].sets[:, 0].tolist(), levels[0]))
+    at = np.argsort(levels[0].sets[:, 0])  # each candidate's row among the singles
+    single_ce, single_drop = levels[0].ce[at], levels[0].sce_drop[at]
     names = np.array(levels[0].names, dtype=object)
     for level in levels:
         sets, blank = level.sets, [""] * len(level)
@@ -616,9 +618,9 @@ def _scan_rows(levels, nulls):
                       np.where(sig, major_factor.ORDER1, major_factor.INSIGNIFICANT).tolist()]
         elif sets.shape[1] == 2:
             sig = level.sce_drop > q95[sets].max(axis=1) + major_factor.EPS
-            cells += [blank, blank, np.where(sig, "true", "false").tolist(), [
-                major_factor.classify_pair(r, singles[a], singles[b], nulls[a], nulls[b])
-                for r, (a, b) in zip(level, sets.tolist())]]
+            cells += [blank, blank, np.where(sig, "true", "false").tolist(),
+                      major_factor.pair_classes(level, single_ce[sets], single_drop[sets],
+                                                q95[sets]).tolist()]
         else:
             cells += [blank] * 4
         yield from zip(*cells)

@@ -33,7 +33,17 @@ from epicurve.infotheory import (
     rescaled_ce,
 )
 from epicurve.ingest import META_COLUMNS, CaseCounts, RateSeries, UnitMeta, _open_input
-from epicurve.major_factor import FeatureSetResult, NullDropStats, _encode, _marginal_entropy
+from epicurve.major_factor import (
+    EPS,
+    INSIGNIFICANT,
+    ORDER1_PAIR,
+    ORDER2_INTERACTION,
+    REDUNDANT,
+    FeatureSetResult,
+    NullDropStats,
+    _encode,
+    _marginal_entropy,
+)
 
 START = dt.date(2022, 3, 25)
 END = dt.date(2022, 8, 19)
@@ -62,8 +72,8 @@ def end_date(series) -> dt.date:
 
 def case_series(parsed: CaseCounts) -> dict[str, RawSeries]:
     """``{unit: RawSeries}`` of a parse_case_series result, units in its order."""
-    return {unit: RawSeries(unit, dt.date.fromordinal(int(start)), tuple(row[:n].tolist()))
-            for unit, start, n, row in zip(*parsed)}
+    return {unit: RawSeries(unit, dt.date.fromordinal(int(start)), tuple(s.counts.tolist()))
+            for unit, start, s in zip(parsed.unit_ids, parsed.start_ordinals, parsed.values())}
 
 
 def window_slice(series, start: dt.date, end: dt.date) -> slice:
@@ -385,12 +395,43 @@ def oracle_scan(y, candidates: dict, order: int) -> list[list[FeatureSetResult]]
     return levels
 
 
+def oracle_classify_pair(result_pair: FeatureSetResult, result_i: FeatureSetResult,
+                         result_j: FeatureSetResult, null_i: NullDropStats,
+                         null_j: NullDropStats) -> str:
+    """The class of one pair by an if-chain over its members' singleton
+    results and nulls: the first of order2-interaction, redundant and
+    order1-pair that holds, else insignificant."""
+    drop_i, drop_j = result_i.sce_drop, result_j.sce_drop
+    sig_i = drop_i > null_i.q95 + EPS
+    sig_j = drop_j > null_j.q95 + EPS
+    sce_pair = result_pair.sce_drop
+    q95_max = max(null_i.q95, null_j.q95)
+
+    if sce_pair > min(drop_i, drop_j) + EPS and sce_pair > q95_max + EPS:
+        return ORDER2_INTERACTION
+
+    # incremental drop of the weaker member on top of the stronger one
+    if drop_i >= drop_j:
+        weak_inc = result_i.ce - result_pair.ce
+        weak_null = null_j
+    else:
+        weak_inc = result_j.ce - result_pair.ce
+        weak_null = null_i
+    if (sig_i or sig_j) and weak_inc <= weak_null.q95 + EPS:
+        return REDUNDANT
+
+    if sig_i and sig_j and result_pair.ce_drop <= drop_i + drop_j + EPS:
+        return ORDER1_PAIR
+
+    return INSIGNIFICANT
+
+
 def oracle_scan_rows(scans, nulls: dict):
     """scan CSV rows of every level in order, one FeatureSetResult at a time.
     A single shows its own null and is significant when its CE-drop beats that
     null's q95; a pair is significant when its SCE-drop beats the larger of its
-    members' q95s, and classify_pair classes it; a triple leaves the four null
-    cells empty."""
+    members' q95s, and oracle_classify_pair classes it; a triple leaves the four
+    null cells empty."""
     singles = {r.feature_names[0]: r for r in scans[0]}
     for r in (r for level in scans for r in level):
         names, judged = r.feature_names, ["", "", "", ""]
@@ -402,7 +443,7 @@ def oracle_scan_rows(scans, nulls: dict):
         elif len(names) == 2:
             a, b = names
             sig = r.sce_drop > max(nulls[a].q95, nulls[b].q95) + major_factor.EPS
-            judged = ["", "", str(sig).lower(), major_factor.classify_pair(
+            judged = ["", "", str(sig).lower(), oracle_classify_pair(
                 r, singles[a], singles[b], nulls[a], nulls[b])]
         yield ["_".join(names), f"{r.ce:.6f}", f"{r.rescaled_ce:.6f}", f"{r.ce_drop:.6f}",
                f"{r.sce_drop:.6f}", *judged]

@@ -36,6 +36,8 @@ from epicurve.errors import ComputationError, DataError
 from epicurve.ingest import RateSeries, parse_case_series, parse_unit_metadata
 
 from helpers import (
+    END,
+    START,
     case_series,
     compute_daily_rates,
     oracle_extract_features,
@@ -278,25 +280,33 @@ def test_stage_features_reports_a_reversed_window(synthetic_dir, tmp_path):
 def test_stage_features_ignores_row_order_and_blank_lines(synthetic_dir, tmp_path_factory,
                                                           seed, blanks, trim):
     """features.csv from a cases.csv whose data rows are shuffled, with
-    blank lines added, has the bytes of the in-order file's."""
+    blank lines added, has the bytes of the in-order file's, and so has one
+    where a unit also has days outside the window, 3650 in all."""
     tmp = tmp_path_factory.mktemp("shuffled")
     cfg = pipeline.load_config(str(synthetic_dir / "config.yaml"))
     cfg = dataclasses.replace(cfg, window_start=cfg.window_start + dt.timedelta(days=trim))
     header, *rows = (synthetic_dir / "cases.csv").read_text().splitlines()
     rng = np.random.default_rng(seed)
+    unit, total = rows[rng.integers(len(rows))].split(",")[0], (END - START).days + 1
+    extra = [f"{unit},{START + dt.timedelta(days=d)},{d % 50}"
+             for d in range(-1751, 3650 - 1751) if not 0 <= d < total]
     rows = [rows[i] for i in rng.permutation(len(rows))]
     for at in rng.integers(0, len(rows) + 1, blanks):
         rows.insert(at, "")
     (tmp / "cases.csv").write_text("\n".join([header, *rows]) + "\n")
+    long_rows = rows + extra
+    long_rows = [long_rows[i] for i in rng.permutation(len(long_rows))]
+    (tmp / "long.csv").write_text("\n".join([header, *long_rows]) + "\n")
     written = {}
-    for name, cases in (("in_order", cfg.cases), ("shuffled", str(tmp / "cases.csv"))):
+    for name, cases in (("in_order", cfg.cases), ("shuffled", str(tmp / "cases.csv")),
+                        ("long", str(tmp / "long.csv"))):
         out = dataclasses.replace(cfg, cases=cases, output=str(tmp / name))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pipeline.stage_features(out)
             with open(os.path.join(out.output, "features.csv"), "rb") as fh:
                 written[name] = fh.read()
-    assert written["shuffled"] == written["in_order"]
+    assert written["shuffled"] == written["long"] == written["in_order"]
 
 
 #: Days of data of each unit (first day, last day), in file order: TPc is

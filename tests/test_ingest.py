@@ -213,9 +213,8 @@ def test_parse_case_series_matches_row_loop_oracle(tmp_path_factory, rows, heade
 
 
 def test_parse_case_series_result_arrays(tmp_path):
-    """Units in order of first appearance, each row of the count matrix
-    holding that unit's days and 0 past its last day, and ``values()``
-    giving each unit's days."""
+    """Units in order of first appearance, the counts holding each unit's
+    days one after another, and ``values()`` giving each unit's days."""
     p = tmp_path / "c.csv"
     write_cases(p, ["NTb,2022-03-27,4", "TPa,2022-03-26,2", "NTb,2022-03-26,3",
                     "TPa,2022-03-25,1", "TPa,2022-03-27,0"])
@@ -223,15 +222,29 @@ def test_parse_case_series_result_arrays(tmp_path):
     assert units == ["NTb", "TPa"]
     assert starts.tolist() == [D0.toordinal() + 1, D0.toordinal()]
     assert lengths.tolist() == [2, 3]
-    assert counts.dtype == np.int64 and counts.tolist() == [[3, 4, 0], [1, 2, 0]]
+    assert counts.dtype == np.int64 and counts.tolist() == [3, 4, 1, 2, 0]
     assert [s.counts.tolist() for s in out.values()] == [[3, 4], [1, 2, 0]]
 
 
 def test_parse_case_series_of_a_header_alone(tmp_path):
     p = tmp_path / "c.csv"
     write_cases(p, [])
-    units, starts, lengths, counts = parse_case_series(p)
-    assert units == [] and starts.size == lengths.size == 0 and counts.shape == (0, 0)
+    units, starts, lengths, counts = out = parse_case_series(p)
+    assert units == [] and starts.size == lengths.size == 0 and counts.shape == (0,)
+    assert list(out.values()) == []
+
+
+def test_parse_case_series_keeps_rows_not_a_longest_span_matrix(tmp_path):
+    """200 units of 154 days and one of 3650 days keep their 34,450 counts,
+    not 201 rows as wide as the longest unit's data."""
+    p = tmp_path / "c.csv"
+    days = [D0 + dt.timedelta(days=i) for i in range(3650)]
+    write_cases(p, [f"U{u:03d},{day},{u}" for u in range(200) for day in days[:154]]
+                + [f"long,{day},7" for day in days])
+    out = parse_case_series(p)
+    assert out.counts.size == 200 * 154 + 3650 == 34_450
+    assert out.lengths.tolist() == [154] * 200 + [3650]
+    assert [set(s.counts.tolist()) for s in out.values()] == [{u} for u in range(200)] + [{7}]
 
 
 META_HEADER = "unit_id,city_code,district_letter,age_group,population,region,status"

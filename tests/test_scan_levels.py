@@ -5,6 +5,8 @@ judges and formats it a column at a time; ``oracle_scan`` and
 ``oracle_scan_rows`` build one FeatureSetResult per feature set. Responses
 are constant in some draws (H(Y) = 0) and candidates repeat columns, so
 conditional entropies tie and the ranking must break ties on names.
+``major_factor.pair_classes`` classes a level's pairs as arrays, against
+the if-chain of ``oracle_classify_pair`` one pair at a time.
 """
 
 import csv
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicurve import major_factor, pipeline
+from epicurve.major_factor import EPS, FeatureSetResult, Level, NullDropStats
 
-from helpers import oracle_noise_threshold, oracle_scan, oracle_scan_rows
+from helpers import oracle_classify_pair, oracle_noise_threshold, oracle_scan, oracle_scan_rows
 
 REPLICATES = 5
 
@@ -93,3 +96,45 @@ def test_select_writes_the_oracle_bytes(inputs, seed):
             except FileNotFoundError:
                 pass
     assert got == want
+
+
+@st.composite
+def pair_rows(draw):
+    """classify_pair arguments: a pair, its two singles and their nulls, each
+    value on a small grid or exactly where a rule's comparison turns: a
+    single's drop at its q95 + EPS, the members' drops tied, the pair's
+    SCE-drop at the weaker drop or the larger q95 + EPS, a member's CE at the
+    other's q95 + EPS (so with a pair CE of 0 the weaker member adds exactly
+    that), the pair's CE-drop at the sum of the drops + EPS."""
+    def value(*edges):
+        return draw(st.sampled_from((0.0, 0.25, 0.5, 1.0) + edges))
+
+    q95_i, q95_j = value(), value()
+    drop_i = value(q95_i + EPS)
+    drop_j = value(q95_j + EPS, drop_i)
+    single_i = FeatureSetResult(("a",), value(q95_j + EPS), 0.0, drop_i, drop_i)
+    single_j = FeatureSetResult(("b",), value(q95_i + EPS), 0.0, drop_j, drop_j)
+    pair = FeatureSetResult(("a", "b"), value(), 0.0, value(drop_i + drop_j + EPS),
+                            value(min(drop_i, drop_j) + EPS, max(q95_i, q95_j) + EPS))
+    return pair, single_i, single_j, NullDropStats(0.0, q95_i), NullDropStats(0.0, q95_j)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(pair_rows(), min_size=1, max_size=20))
+def test_pair_classes_match_the_if_chain_oracle(rows):
+    """pair_classes over a level of pairs, and classify_pair on each pair,
+    against oracle_classify_pair element by element."""
+    pairs, singles_i, singles_j, nulls_i, nulls_j = zip(*rows)
+
+    def members(field, i, j):
+        """The (m, 2) array of a field of each pair's two members."""
+        return np.array([[getattr(a, field), getattr(b, field)] for a, b in zip(i, j)])
+
+    level = Level(("a", "b"), np.zeros((len(rows), 2), dtype=int), *(
+        np.array([getattr(p, f) for p in pairs])
+        for f in ("ce", "rescaled_ce", "ce_drop", "sce_drop")))
+    got = major_factor.pair_classes(level, members("ce", singles_i, singles_j),
+                                    members("sce_drop", singles_i, singles_j),
+                                    members("q95", nulls_i, nulls_j))
+    want = [oracle_classify_pair(*row) for row in rows]
+    assert got.tolist() == [major_factor.classify_pair(*row) for row in rows] == want
