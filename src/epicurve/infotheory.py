@@ -118,23 +118,27 @@ def _dense(x) -> np.ndarray:
     return np.unique(x, return_inverse=True)[1].reshape(np.shape(x))
 
 
-def _conditional_entropies(y, columns, sets, first_seen: bool = True) -> np.ndarray:
+def _conditional_entropies(y, columns, sets, first_seen: bool = True,
+                           targets=None) -> np.ndarray:
     """H(Y | F) in bits for every feature set F: the joint-count kernel.
 
     ``columns`` is a (p, n) array of small non-negative integer codes and
-    ``sets`` an (m, k) array of indices into its rows. Each set's columns
-    are encoded as one mixed-radix key per unit, and sets are counted by
-    one ``np.bincount`` per BATCH_CELLS cells. The floating-point operations
-    are those of the scalar definition, in its order: the groups of F, and
-    the Y cells within a group, in first-occurrence order (ascending label
-    order, as in a ContingencyTable, when ``first_seen`` is false).
+    ``sets`` an (m, k) array of indices into its rows. ``y`` is one response,
+    or, given ``targets``, a (q, n) table of them: set s is scored against
+    row ``targets[s]``. Each set's columns are encoded as one mixed-radix
+    key per unit, and sets are counted by one ``np.bincount`` per
+    BATCH_CELLS cells, each batch gathering only its own response rows.
+    The floating-point operations are those of the scalar definition, in
+    its order: the groups of F, and the Y cells within a group, in
+    first-occurrence order (ascending label order, as in a
+    ContingencyTable, when ``first_seen`` is false).
     """
     y = _dense(np.asarray(y, dtype=int))
     if y.size == 0:
         raise ComputationError("empty columns")
     sets = np.asarray(sets, dtype=int)
     radix = columns.max(axis=1) + 1
-    step = max(1, BATCH_CELLS // y.size)
+    step = max(1, BATCH_CELLS // y.shape[-1])
     out = np.empty(len(sets))
     for lo in range(0, len(sets), step):
         idx = sets[lo:lo + step]
@@ -144,7 +148,8 @@ def _conditional_entropies(y, columns, sets, first_seen: bool = True) -> np.ndar
             if keys.max() >= _KEY_LIMIT // (r.max() * len(idx) * (y.max() + 1)):
                 keys = _dense(keys)
             keys = keys * r[:, None] + columns[idx[:, j]]
-        out[lo:lo + step] = _batch_entropies(y, keys, first_seen)
+        rows = y if targets is None else y[targets[lo:lo + step]]
+        out[lo:lo + step] = _batch_entropies(rows, keys, first_seen)
     return out
 
 
@@ -218,15 +223,14 @@ def association_matrices(columns) -> tuple[np.ndarray, np.ndarray]:
     if p < 2:
         raise ComputationError("need at least 2 feature columns")
     cells = np.array(list(columns.values()), dtype=int)
-    h = [entropy(np.bincount(column)) for column in cells]
+    h = np.array([entropy(np.bincount(column)) for column in cells])
     for name, h_j in zip(columns, h):
         if h_j == 0.0:
             raise ComputationError(f"degenerate column {name!r} (zero entropy)")
+    i, j = np.nonzero(~np.eye(p, dtype=bool))
     directed = np.zeros((p, p))
-    for j in range(p):
-        others = np.delete(np.arange(p), j)
-        directed[others, j] = _conditional_entropies(
-            cells[j], cells, others[:, None], first_seen=False) / h[j]
+    directed[i, j] = _conditional_entropies(
+        cells, cells, i[:, None], first_seen=False, targets=j) / h[j]
     mutual = 0.5 * (directed + directed.T)
     np.fill_diagonal(mutual, 0.0)
     return directed, mutual

@@ -735,14 +735,16 @@ STAGES = {"features": stage_features, "associate": stage_associate, "fuse": stag
 def write_manifest(cfg: PipelineConfig) -> None:
     """Digest every artifact a run of ``cfg`` writes, and nothing else in the
     output directory, into manifest.txt."""
-    entries = []
+    entries, chunk = [], bytearray(1 << 20)  # no artifact is held whole in memory
     for _stage, name in _artifacts(cfg):
-        path = _require(cfg, name)
+        path, digest = _require(cfg, name), hashlib.sha256()
         try:
             with open(path, "rb") as fh:
-                entries.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+                while size := fh.readinto(chunk):
+                    digest.update(memoryview(chunk)[:size])
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
+        entries.append(f"{digest.hexdigest()}  {name}")
     _write(cfg, "manifest.txt", lambda fh: fh.write("\n".join(sorted(entries)) + "\n"))
 
 

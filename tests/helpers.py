@@ -495,6 +495,27 @@ def oracle_conditional_entropy(t: ContingencyTable) -> float:
     return h
 
 
+def oracle_association_matrices(columns) -> tuple[np.ndarray, np.ndarray]:
+    """infotheory.association_matrices as one kernel call per target column,
+    scoring every other column against that one response."""
+    p = len(columns)
+    if p < 2:
+        raise ComputationError("need at least 2 feature columns")
+    cells = np.array(list(columns.values()), dtype=int)
+    h = [entropy(np.bincount(column)) for column in cells]
+    for name, h_j in zip(columns, h):
+        if h_j == 0.0:
+            raise ComputationError(f"degenerate column {name!r} (zero entropy)")
+    directed = np.zeros((p, p))
+    for j in range(p):
+        others = np.delete(np.arange(p), j)
+        directed[others, j] = _conditional_entropies(
+            cells[j], cells, others[:, None], first_seen=False) / h[j]
+    mutual = 0.5 * (directed + directed.T)
+    np.fill_diagonal(mutual, 0.0)
+    return directed, mutual
+
+
 def oracle_left_crossing(s, alpha: float):
     """left_crossing as a scan over the days up to the peak."""
     t_max, peak = find_peak(s)

@@ -35,6 +35,7 @@ from epicurve.major_factor import (
 
 from helpers import (
     contingency,
+    oracle_association_matrices,
     oracle_batch_entropies,
     oracle_conditional_entropy,
     oracle_contingency,
@@ -250,6 +251,84 @@ class TestSortedOrder:
                 t = oracle_contingency(cells[:, i], cells[:, j])
                 want = oracle_conditional_entropy(t) / entropy(t.col_sums)
                 assert float(directed[i, j]).hex() == float(want).hex()
+
+
+@st.composite
+def sparse_tables(draw, min_rows=1, max_rows=6, max_units=60):
+    """(rows, n) labels whose rows each draw from their own sparse label set,
+    such as {0, 3, 7, 11}."""
+    n = draw(st.integers(1, max_units))
+    rows = []
+    for _ in range(draw(st.integers(min_rows, max_rows))):
+        labels = sorted(draw(st.sets(st.integers(0, 40), min_size=2, max_size=5)))
+        rows.append([labels[i] for i in draw(st.lists(
+            st.integers(0, len(labels) - 1), min_size=n, max_size=n))])
+    return np.array(rows)
+
+
+def matrix_bits(matrices):
+    """Each matrix of an (directed, mutual) pair as the float.hex of its entries."""
+    return [hexes(m.ravel()) for m in matrices]
+
+
+class TestOnePassMatrices:
+    """association_matrices in one kernel call against the call per target."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_tables(min_rows=2))
+    @example(table=np.array([[0, 3, 7, 3], [5, 5, 5, 5], [11, 0, 0, 11]]))
+    def test_both_matrices_match_the_per_target_oracle(self, table):
+        columns = {f"c{i}": row for i, row in enumerate(table)}
+        try:
+            want = matrix_bits(oracle_association_matrices(columns))
+        except ComputationError as exc:
+            want = str(exc)
+        for cells in (1, 7, 64, 1 << 14):
+            for bound in (0, 8, 1 << 62):
+                with with_batch_cells(cells), with_space_per_cell(bound):
+                    try:
+                        got = matrix_bits(association_matrices(columns))
+                    except ComputationError as exc:
+                        got = str(exc)
+                assert got == want
+
+    @SETTINGS
+    @given(sparse_tables(), st.data(), st.integers(1, 200), st.booleans())
+    def test_each_set_scores_against_its_own_response_row(self, table, data, cells,
+                                                          first_seen):
+        n = table.shape[1]
+        p = data.draw(st.integers(1, 4))
+        codes = np.array(data.draw(st.lists(st.lists(st.integers(0, 5), min_size=n,
+                                                     max_size=n),
+                                            min_size=p, max_size=p)))
+        k = data.draw(st.integers(1, p))
+        m = data.draw(st.integers(1, 30))
+        sets = np.array(data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k,
+                                                    max_size=k),
+                                           min_size=m, max_size=m)))
+        targets = np.array(data.draw(st.lists(st.integers(0, len(table) - 1),
+                                              min_size=m, max_size=m)))
+        with with_batch_cells(cells):
+            got = _conditional_entropies(table, codes, sets, first_seen, targets)
+            want = [_conditional_entropies(table[t], codes, [s], first_seen)[0]
+                    for s, t in zip(sets, targets)]
+        assert hexes(got) == hexes(want)
+
+    def test_one_kernel_call_in_batches_of_at_most_batch_cells(self):
+        """19 columns x 60 units: all 342 ordered pairs in one call, whose
+        batches each gather only their own response rows."""
+        rng = np.random.default_rng(9)
+        columns = {f"f{j:02d}": rng.integers(0, 5, size=60) for j in range(19)}
+        with mock.patch.object(infotheory, "_conditional_entropies",
+                               wraps=_conditional_entropies) as kernel, \
+                mock.patch.object(infotheory, "_batch_entropies",
+                                  wraps=_batch_entropies) as batch:
+            got = association_matrices(columns)
+        assert kernel.call_count == 1
+        assert batch.call_count == 2
+        assert max(max(c.args[0].size, c.args[1].size)
+                   for c in batch.call_args_list) <= infotheory.BATCH_CELLS
+        assert matrix_bits(got) == matrix_bits(oracle_association_matrices(columns))
 
 
 class TestScan:

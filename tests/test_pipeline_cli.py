@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 from xml.etree import ElementTree
@@ -221,6 +222,25 @@ class TestPipeline:
         path.mkdir()
         with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
             pipeline.write_manifest(cfg)
+
+    def test_manifest_hashes_in_chunks(self, cfg, tmp_path):
+        """An 8 MiB artifact is hashed without being held whole in memory."""
+        cfg = dataclasses.replace(cfg, output=str(tmp_path / "out"))
+        pipeline.run_pipeline(cfg)
+        (tmp_path / "out" / "heatmap_left.svg").write_bytes(
+            np.random.default_rng(0).bytes(8 << 20))
+        tracemalloc.start()
+        try:
+            pipeline.write_manifest(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        assert "heatmap_left.svg" in {line.split("  ", 1)[1] for line in lines}
+        for line in lines:
+            digest, name = line.split("  ", 1)
+            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
     def test_select_requires_associate(self, cfg, tmp_path):
         import dataclasses
