@@ -10,8 +10,8 @@ Subcommands run one stage each (``features``, ``associate``, ``select``,
 ``report`` recomputes the order-1/2 scans from the inputs ``select`` reads
 and rewrites the ranked reports, so with no ``--top``/``--bottom`` its
 bytes are those ``select`` wrote.
-Exit codes: 0 success, 2 config/validation error, 3 data error,
-4 computation error.
+Exit codes: 0 success, else the failing error class's ``exit_code``:
+2 config/validation error, 3 data error, 4 computation error.
 """
 
 from __future__ import annotations
@@ -23,28 +23,18 @@ from typing import Optional
 import click
 
 from . import pipeline
-from .errors import ComputationError, ConfigError, DataError
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_COMPUTE = 4
+from .errors import EpicurveError
 
 
 def _run(fn, config_path: str, out: Optional[str], *args):
-    """``fn(cfg, *args)`` on the config, its output overridden by ``out``; each
-    package error ends in its exit code."""
+    """``fn(cfg, *args)`` on the config, its output overridden by ``out``; a
+    package error prints one ``<kind> error: …`` line and exits with its class's code."""
     try:
         cfg = pipeline.load_config(config_path)
         fn(dataclasses.replace(cfg, output=out) if out else cfg, *args)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
-    except ComputationError as exc:
-        click.echo(f"computation error: {exc}", err=True)
-        sys.exit(EXIT_COMPUTE)
+    except EpicurveError as exc:
+        click.echo(f"{exc.kind} error: {exc}", err=True)
+        sys.exit(exc.exit_code)
 
 
 config_opt = click.option(

@@ -217,10 +217,11 @@ def permutation_orders(seeds: Sequence[int], replicates: int, n: int) -> dict:
 
 def noise_thresholds(y: Sequence[int], existing: Sequence[Sequence[int]],
                      candidates: Sequence[Sequence[int]], replicates: int,
-                     seeds: Sequence[int], orders: dict) -> list[NullDropStats]:
-    """Permutation-null stats of the drop each candidate contributes: replicate r of
-    the candidate with seed s shuffles it by row r of ``orders[(s, replicates)]``, drawn
-    into ``orders`` when absent; counted about BATCH_CELLS cells at a time."""
+                     seeds: Sequence[int], orders: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, q95) arrays in candidate order of the permutation-null drop each candidate
+    contributes: replicate r of the candidate with seed s shuffles it by row r of
+    ``orders[(s, replicates)]``, drawn into ``orders`` when absent; counted about
+    BATCH_CELLS cells at a time."""
     if replicates < 1:
         raise ComputationError("replicates must be >= 1")
     y, columns = _encode(y, list(existing) + list(candidates))
@@ -237,14 +238,14 @@ def noise_thresholds(y: Sequence[int], existing: Sequence[Sequence[int]],
         sets = np.column_stack([np.tile(np.arange(e), (len(c), 1)), e + np.arange(len(c))])
         drops.flat[lo:lo + len(c)] = base - _conditional_entropies(
             y, np.vstack([columns[:e], columns[e + c[:, None], rows]]), sets)
-    return [NullDropStats(mean, q95) for mean, q95 in zip(
-        drops.mean(axis=1).tolist(), np.percentile(drops, 95, axis=1).tolist())]
+    return drops.mean(axis=1), np.percentile(drops, 95, axis=1)
 
 
 def noise_threshold(y: Sequence[int], existing: Sequence[Sequence[int]], candidate: Sequence[int],
                     replicates: int = 200, seed: int = 0) -> NullDropStats:
     """Permutation-null stats for the drop contributed by one candidate."""
-    return noise_thresholds(y, existing, [candidate], replicates, [seed], {})[0]
+    mean, q95 = noise_thresholds(y, existing, [candidate], replicates, [seed], {})
+    return NullDropStats(float(mean[0]), float(q95[0]))
 
 
 def pair_classes(pairs, member_ce: np.ndarray, member_drop: np.ndarray,

@@ -298,18 +298,10 @@ def _warn(category, what: str, names) -> None:
         warnings.warn(f"{what}: {', '.join(names)}", category, stacklevel=2)
 
 
-def _make_output(cfg: PipelineConfig, name: str) -> None:
-    """Create the output directory, or fail as writing artifact ``name`` there would."""
-    try:
-        os.makedirs(cfg.output, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {os.path.join(cfg.output, name)}: {exc}") from exc
-
-
 def _write(cfg: PipelineConfig, name: str, fill) -> None:
     """Write artifact ``name``: ``fill(fh)`` writes its text to a temp file, which
-    then replaces the artifact, so a failed write keeps the earlier one."""
-    _make_output(cfg, name)
+    then replaces the artifact, so a failed write keeps the earlier one. Only
+    ``features`` makes the directory: every later stage has read from it."""
     path = os.path.join(cfg.output, name)
     tmp = os.path.join(cfg.output, f".{name}.tmp")
     try:
@@ -437,9 +429,14 @@ def stage_features(cfg: PipelineConfig) -> None:
 
     The window's counts of every unit, in sorted unit order, are gathered
     from the parsed count rows with one fancy index, so rates, smoothing
-    and crossings run over whole arrays.
+    and crossings run over whole arrays. The output directory is made first,
+    so an unwritable one fails before any input is read.
     """
-    _make_output(cfg, "features.csv")
+    try:
+        os.makedirs(cfg.output, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {os.path.join(cfg.output, 'features.csv')}: "
+                          f"{exc}") from exc
     unit_ids, starts, lengths, case_counts = parse_case_series(cfg.cases)
     meta = parse_unit_metadata(cfg.metadata)
     order = np.array(sorted(range(len(unit_ids)), key=unit_ids.__getitem__), dtype=np.intp)
@@ -463,7 +460,12 @@ def stage_features(cfg: PipelineConfig) -> None:
     first_row = (np.cumsum(lengths) - lengths)[order]
     counts = case_counts[(first_row + offsets)[:, None] + np.arange(max(days, 0))]
     population = np.array([meta[unit].population for unit in units], dtype=np.int64)
-    rates = counts / population[:, None] * cfg.rate_scale
+    with np.errstate(over="ignore"):
+        rates = counts / population[:, None] * cfg.rate_scale
+    finite = np.isfinite(rates).all(axis=1)
+    if not finite.all():  # name the first overflowing unit in sorted order
+        raise ComputationError(f"{units[int(finite.argmin())]}: daily rate overflows "
+                               f"float64 at rate_scale {cfg.rate_scale}")
     smoothed = curve_features.smooth_rows(units, rates)
     table = curve_features.extract_features_batch(
         units, cfg.window_start + dt.timedelta(days=6), smoothed)
@@ -596,14 +598,13 @@ def _fixed(values: np.ndarray) -> list[str]:
     return [f"{v:.6f}" for v in values.tolist()]
 
 
-def _scan_rows(levels, nulls):
+def _scan_rows(levels, mean: np.ndarray, q95: np.ndarray):
     """scan CSV rows of every level in order, each level judged and formatted a
     column at a time. A single shows its own null and is significant when its
     CE-drop beats that null's q95; a pair is significant when its SCE-drop beats
     the larger of its members' q95s, and pair_classes classes it; a triple is
-    descriptive only and leaves the four null cells empty. ``nulls`` are in
-    candidate order."""
-    mean, q95 = np.array([n.mean for n in nulls]), np.array([n.q95 for n in nulls])
+    descriptive only and leaves the four null cells empty. ``mean`` and ``q95``
+    are the nulls' arrays in candidate order."""
     at = np.argsort(levels[0].sets[:, 0])  # each candidate's row among the singles
     single_ce, single_drop = levels[0].ce[at], levels[0].sce_drop[at]
     names = np.array(levels[0].names, dtype=object)
@@ -633,12 +634,12 @@ def stage_select(cfg: PipelineConfig) -> None:
                 for i in range(len(spec.candidates))}
     orders = {}
     for k, (spec, y, candidates) in enumerate(_scan_inputs(cfg)):
-        levels, names = major_factor.scan(y, candidates, spec.order), sorted(candidates)
-        nulls = major_factor.noise_thresholds(
-            y, [], [candidates[c] for c in names], spec.replicates,
-            range(spec.seed, spec.seed + len(names)), orders)
+        levels = major_factor.scan(y, candidates, spec.order)
+        mean, q95 = major_factor.noise_thresholds(  # seed + i draws sorted candidate i
+            y, [], [candidates[c] for c in levels[0].names], spec.replicates,
+            range(spec.seed, spec.seed + len(candidates)), orders)
         orders = {key: v for key, v in orders.items() if last_use[key] > k}
-        _write_csv(cfg, f"scan_{spec.response}.csv", SCAN_COLUMNS, _scan_rows(levels, nulls))
+        _write_csv(cfg, f"scan_{spec.response}.csv", SCAN_COLUMNS, _scan_rows(levels, mean, q95))
         _write_reports(cfg, spec.response, levels, spec.top, spec.bottom)
 
 
@@ -694,11 +695,14 @@ def stage_cluster(cfg: PipelineConfig) -> None:
 def stage_report(cfg: PipelineConfig, top: Optional[int] = None,
                  bottom: Optional[int] = None) -> None:
     """Re-render ranked reports from the order-1/2 scans, recomputed from the
-    inputs select reads; a report shows no null, so none is drawn."""
+    inputs select reads; a report shows no null, so none is drawn. A
+    manifest.txt already in the output directory is rewritten to match."""
     for spec, y, candidates in _scan_inputs(cfg):
         _write_reports(cfg, spec.response, major_factor.scan(y, candidates, min(spec.order, 2)),
                        spec.top if top is None else top,
                        spec.bottom if bottom is None else bottom)
+    if os.path.exists(os.path.join(cfg.output, "manifest.txt")):
+        write_manifest(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -399,9 +399,16 @@ def null_cases(draw):
     return y, existing, candidates, draw(st.integers(1, 30)), seeds
 
 
-def null_bits(stats):
-    """Each NullDropStats as the float.hex of its floats."""
-    return [hexes([x.mean, x.q95]) for x in stats]
+def null_bits(nulls):
+    """The float.hex of each candidate's mean and q95 in noise_thresholds'
+    (mean, q95) arrays."""
+    return [hexes(pair) for pair in zip(*nulls)]
+
+
+def oracle_null_bits(y, existing, candidates, replicates, seeds):
+    """null_bits of each candidate's null drawn on its own by the oracle."""
+    return [hexes([x.mean, x.q95]) for x in (oracle_noise_threshold(y, existing, c, replicates, s)
+                                             for c, s in zip(candidates, seeds))]
 
 
 class TestBatchedNulls:
@@ -412,8 +419,7 @@ class TestBatchedNulls:
         shifted so that they overlap the first's, at every batch size."""
         y, existing, candidates, replicates, seeds = case
         shifted = [max(0, s + shift) for s in seeds]
-        want = [null_bits(oracle_noise_threshold(y, existing, c, replicates, s)
-                          for c, s in zip(candidates, call_seeds))
+        want = [oracle_null_bits(y, existing, candidates, replicates, call_seeds)
                 for call_seeds in (seeds, shifted)]
         for cells in (1, 7, 1 << 30):
             orders = {}
@@ -478,7 +484,6 @@ class TestBatchedNulls:
         with with_batch_cells(cells), mock.patch.object(
                 major_factor, "_conditional_entropies", spy):
             got = noise_thresholds(y, existing, candidates, replicates, seeds, {})
-        assert null_bits(got) == null_bits(oracle_noise_threshold(y, existing, c, replicates, s)
-                                           for c, s in zip(candidates, seeds))
+        assert null_bits(got) == oracle_null_bits(y, existing, candidates, replicates, seeds)
         assert max(shuffled_rows) <= max(1, cells // n)
         assert sum(shuffled_rows) == len(candidates) * replicates

@@ -1086,8 +1086,10 @@ def _select_data(synthetic_dir, responses):
 
 
 def oracle_noise_thresholds(y, existing, candidates, replicates, seeds, orders):
-    return [oracle_noise_threshold(y, existing, c, replicates, s)
-            for c, s in zip(candidates, seeds)]
+    """noise_thresholds' (mean, q95) arrays, each candidate's null drawn on its own."""
+    nulls = [oracle_noise_threshold(y, existing, c, replicates, s)
+             for c, s in zip(candidates, seeds)]
+    return np.array([n.mean for n in nulls]), np.array([n.q95 for n in nulls])
 
 
 def _scan_bytes(data, out):
@@ -1196,6 +1198,7 @@ def test_failed_write_keeps_the_earlier_artifact(tmp_path, failure):
     cfg = pipeline.PipelineConfig(cases="cases.csv", metadata="meta.csv",
                                   output=str(tmp_path / "out"))
     path = os.path.join(cfg.output, "scan_region.csv")
+    os.mkdir(cfg.output)  # `features` makes it in a run; _write does not
     pipeline._write(cfg, "scan_region.csv", lambda fh: fh.write("earlier\n"))
     if failure == "encode":
         # the lone surrogate cannot be encoded, so the write raises partway
@@ -1252,3 +1255,77 @@ def test_unwritable_output_fails_before_parsing(synthetic_dir, tmp_path):
     with mock.patch.object(pipeline, "parse_case_series", side_effect=AssertionError), \
             pytest.raises(ConfigError, match="^cannot write "):
         pipeline.stage_features(cfg)
+
+
+@pytest.mark.parametrize("stage, missing", [
+    ("associate", "missing features.csv; run `features` first"),
+    ("fuse", "missing features.csv; run `features` first"),
+    ("select", "missing categorical.csv; run `associate` first"),
+    ("cluster", "missing features.csv; run `features` first"),
+    ("report", "missing categorical.csv; run `associate` first"),
+    ("manifest", "missing features.csv; run `features` first"),
+])
+def test_only_features_makes_the_output_directory(synthetic_dir, tmp_path, stage, missing):
+    """Every other stage, and the manifest, reads an artifact of the output
+    directory before it writes one: on a fresh --out each exits 3 naming
+    that artifact and leaves no directory behind."""
+    out = tmp_path / "fresh"
+    if stage == "manifest":
+        cfg = dataclasses.replace(pipeline.load_config(str(synthetic_dir / "config.yaml")),
+                                  output=str(out))
+        with pytest.raises(DataError, match=f"^{re.escape(missing)}$"):
+            pipeline.write_manifest(cfg)
+    else:
+        res = CliRunner().invoke(main, [stage, "--config", str(synthetic_dir / "config.yaml"),
+                                        "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert res.output == f"data error: {missing}\n"
+    assert not out.exists()
+
+
+def test_overflowing_rate_is_a_computation_error(synthetic_dir, tmp_path):
+    """Counts near 500 over a population of 1 at rate_scale 1e306 overflow
+    float64: `features` exits 4 naming the first such unit in sorted order,
+    before smoothing, and writes no features.csv that `associate` would refuse."""
+    config = _copy_run(synthetic_dir, tmp_path, "cases.csv")
+    data = yaml.safe_load(config.read_text())
+    data["rate_scale"] = 1.0e306
+    config.write_text(yaml.safe_dump(data))
+    with open(tmp_path / "meta.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    units = sorted(row[0] for row in rows)
+    for row in rows:  # the third and fifth units overflow
+        if row[0] in (units[2], units[4]):
+            row[header.index("population")] = "1"
+    with open(tmp_path / "meta.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    with mock.patch.object(pipeline.curve_features, "smooth_rows",
+                           side_effect=AssertionError):
+        res = CliRunner().invoke(main, ["features", "--config", str(config)])
+    assert res.exit_code == 4, res.output
+    assert res.output == (f"computation error: {units[2]}: daily rate overflows float64 "
+                          f"at rate_scale 1e+306\n")
+    assert not (tmp_path / "out" / "features.csv").exists()
+
+
+def test_report_refreshes_an_existing_manifest(synthetic_dir, tmp_path):
+    """`report` with other counts rewrites the reports and then the manifest
+    that `all` wrote, so every line still verifies; a staged run with no
+    manifest gets none."""
+    config = _copy_run(synthetic_dir, tmp_path, "out/manifest.txt")
+    out = tmp_path / "out"
+    before = (out / "report_region.txt").read_bytes()
+    res = CliRunner().invoke(main, ["report", "--config", str(config),
+                                    "--top", "0", "--bottom", "0"])
+    assert res.exit_code == 0, res.output
+    assert (out / "report_region.txt").read_bytes() != before
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert {line.split("  ", 1)[1] for line in lines} >= {"report_region.txt",
+                                                         "report_region.md"}
+    for line in lines:
+        digest, name = line.split("  ", 1)
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    (out / "manifest.txt").unlink()
+    res = CliRunner().invoke(main, ["report", "--config", str(config), "--top", "1"])
+    assert res.exit_code == 0, res.output
+    assert not (out / "manifest.txt").exists()
