@@ -68,10 +68,10 @@ class RateSeries:
 
 @contextlib.contextmanager
 def _open_input(path):
-    """Open a UTF-8 CSV input; a file that cannot be opened, decoded or split
-    into CSV fields is a DataError, as a malformed one is."""
+    """Open a UTF-8 CSV input past a leading byte-order mark; a file that cannot
+    be opened, decoded or split into CSV fields is a DataError, as a malformed one is."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -289,9 +289,9 @@ def factor_report(
     scan2: Sequence[FeatureSetResult],
     top_k: int = 5,
     bottom_k: int = 1,
-    markdown: bool = False,
-) -> str:
-    """Side-by-side ranked table of 1-feature and 2-feature scans.
+) -> tuple[str, str]:
+    """Side-by-side ranked tables of 1-feature and 2-feature scans, as
+    ``(text, markdown)`` from one row selection and one pass over the widths.
 
     Columns: ``1-feature, CE, SCE-drop, 2-feature, CE, SCE-drop`` with
     re-scaled CE at 4 decimals; top_k head rows plus bottom_k tail rows,
@@ -319,15 +319,12 @@ def factor_report(
     table = [cells(sel1, i) + cells(sel2, i) for i in range(n)]
     widths = [max(len(row[c]) for row in [header, *table]) for c in range(6)]
 
-    def fmt(row, sep):
-        return sep.join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+    def pad(row):
+        return [cell.ljust(w) for cell, w in zip(row, widths)]
 
-    if markdown:
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-        lines += ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |"
-                  for row in table]
-    else:
-        lines = [fmt(header, "  "), "-" * (sum(widths) + 2 * 5)]
-        lines += [fmt(row, "  ") for row in table]
-    return "\n".join(lines) + "\n"
+    text = ["  ".join(pad(header)).rstrip(), "-" * (sum(widths) + 2 * 5),
+            *("  ".join(pad(row)).rstrip() for row in table)]
+    markdown = ["| " + " | ".join(header) + " |",
+                "|" + "|".join("-" * (w + 2) for w in widths) + "|",
+                *("| " + " | ".join(pad(row)) + " |" for row in table)]
+    return "\n".join(text) + "\n", "\n".join(markdown) + "\n"

@@ -600,9 +600,9 @@ def _fixed(values: np.ndarray) -> list[str]:
 
 def _scan_rows(levels, mean: np.ndarray, q95: np.ndarray):
     """scan CSV rows of every level in order, each level judged and formatted a
-    column at a time. A single shows its own null and is significant when its
-    CE-drop beats that null's q95; a pair is significant when its SCE-drop beats
-    the larger of its members' q95s, and pair_classes classes it; a triple is
+    column at a time. A single or a pair is significant when its SCE-drop beats
+    the larger of its members' q95s (for a single, the CE-drop and its own q95);
+    a single shows its own null, pair_classes classes a pair, and a triple is
     descriptive only and leaves the four null cells empty. ``mean`` and ``q95``
     are the nulls' arrays in candidate order."""
     at = np.argsort(levels[0].sets[:, 0])  # each candidate's row among the singles
@@ -612,16 +612,14 @@ def _scan_rows(levels, mean: np.ndarray, q95: np.ndarray):
         sets, blank = level.sets, [""] * len(level)
         cells = [["_".join(s) for s in names[sets].tolist()], *(
             _fixed(v) for v in (level.ce, level.rescaled_ce, level.ce_drop, level.sce_drop))]
+        sig = level.sce_drop > q95[sets].max(axis=1) + major_factor.EPS
+        flags = np.where(sig, "true", "false").tolist()
         if sets.shape[1] == 1:
-            sig = level.ce_drop > q95[sets[:, 0]] + major_factor.EPS
-            cells += [_fixed(mean[sets[:, 0]]), _fixed(q95[sets[:, 0]]),
-                      np.where(sig, "true", "false").tolist(),
+            cells += [_fixed(mean[sets[:, 0]]), _fixed(q95[sets[:, 0]]), flags,
                       np.where(sig, major_factor.ORDER1, major_factor.INSIGNIFICANT).tolist()]
         elif sets.shape[1] == 2:
-            sig = level.sce_drop > q95[sets].max(axis=1) + major_factor.EPS
-            cells += [blank, blank, np.where(sig, "true", "false").tolist(),
-                      major_factor.pair_classes(level, single_ce[sets], single_drop[sets],
-                                                q95[sets]).tolist()]
+            cells += [blank, blank, flags, major_factor.pair_classes(
+                level, single_ce[sets], single_drop[sets], q95[sets]).tolist()]
         else:
             cells += [blank] * 4
         yield from zip(*cells)
@@ -629,16 +627,12 @@ def _scan_rows(levels, mean: np.ndarray, q95: np.ndarray):
 
 def stage_select(cfg: PipelineConfig) -> None:
     """Run major-factor scans for the configured responses."""
-    # null row orders by (seed, replicates), each dropped after its last use
-    last_use = {(spec.seed + i, spec.replicates): k for k, spec in enumerate(cfg.responses)
-                for i in range(len(spec.candidates))}
-    orders = {}
-    for k, (spec, y, candidates) in enumerate(_scan_inputs(cfg)):
+    orders = {}  # null row orders by (seed, replicates), held until the call returns
+    for spec, y, candidates in _scan_inputs(cfg):
         levels = major_factor.scan(y, candidates, spec.order)
         mean, q95 = major_factor.noise_thresholds(  # seed + i draws sorted candidate i
             y, [], [candidates[c] for c in levels[0].names], spec.replicates,
             range(spec.seed, spec.seed + len(candidates)), orders)
-        orders = {key: v for key, v in orders.items() if last_use[key] > k}
         _write_csv(cfg, f"scan_{spec.response}.csv", SCAN_COLUMNS, _scan_rows(levels, mean, q95))
         _write_reports(cfg, spec.response, levels, spec.top, spec.bottom)
 
@@ -650,8 +644,8 @@ def _write_reports(cfg, response, scans, top, bottom) -> None:
     if top + bottom > rows:
         warnings.warn(f"report_{response}: top {top} + bottom {bottom} exceeds "
                       f"{rows} results; clamping")
-    for ext, md in (("txt", False), ("md", True)):
-        report = major_factor.factor_report(scans[0], scans[1], top, bottom, markdown=md)
+    reports = major_factor.factor_report(scans[0], scans[1], top, bottom)
+    for ext, report in zip(("txt", "md"), reports):
         _write(cfg, f"report_{response}.{ext}", lambda fh: fh.write(report))
 
 

@@ -449,6 +449,47 @@ def oracle_scan_rows(scans, nulls: dict):
                f"{r.sce_drop:.6f}", *judged]
 
 
+def oracle_factor_report(scan1, scan2, top_k: int = 5, bottom_k: int = 1,
+                         markdown: bool = False) -> str:
+    """One of factor_report's two tables, rendered on its own: the text table,
+    or the Markdown one when ``markdown`` is set. The rows are selected and the
+    column widths measured again for each format."""
+    if not scan1 or not scan2:
+        raise ComputationError("empty scan")
+
+    def pick(scan):
+        k_top = min(top_k, len(scan))
+        k_bot = min(bottom_k, len(scan) - k_top)
+        return list(scan[:k_top]) + list(scan[len(scan) - k_bot:])
+
+    sel1, sel2 = pick(scan1), pick(scan2)
+    n = max(len(sel1), len(sel2))
+
+    def cells(sel, i):
+        if i < len(sel):
+            r = sel[i]
+            return ["_".join(r.feature_names), f"{r.rescaled_ce:.4f}",
+                    f"{r.sce_drop:.4f}"]
+        return ["", "", ""]
+
+    header = ["1-feature", "CE", "SCE-drop", "2-feature", "CE", "SCE-drop"]
+    table = [cells(sel1, i) + cells(sel2, i) for i in range(n)]
+    widths = [max(len(row[c]) for row in [header, *table]) for c in range(6)]
+
+    def fmt(row, sep):
+        return sep.join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+
+    if markdown:
+        lines = ["| " + " | ".join(header) + " |",
+                 "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
+        lines += ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |"
+                  for row in table]
+    else:
+        lines = [fmt(header, "  "), "-" * (sum(widths) + 2 * 5)]
+        lines += [fmt(row, "  ") for row in table]
+    return "\n".join(lines) + "\n"
+
+
 def oracle_network_dot(names, matrix, tau: float, directed: bool, name: str) -> str:
     """DOT text of a threshold network by a nested loop over the matrix:
     an edge (names[i], names[j]) with weight 1 - entry wherever the entry

@@ -190,7 +190,7 @@ class TestFactorReport:
         return scan_order1(y, cands), scan_order2(y, cands)
 
     def test_header_layout(self, scans):
-        text = factor_report(*scans, top_k=3, bottom_k=1)
+        text, _ = factor_report(*scans, top_k=3, bottom_k=1)
         header = text.splitlines()[0]
         assert header.split() == [
             "1-feature", "CE", "SCE-drop", "2-feature", "CE", "SCE-drop",
@@ -198,7 +198,7 @@ class TestFactorReport:
 
     def test_top_plus_bottom_rows(self, scans):
         scan1, scan2 = scans
-        text = factor_report(scan2, scan2, top_k=5, bottom_k=1)
+        text, _ = factor_report(scan2, scan2, top_k=5, bottom_k=1)
         body = text.splitlines()[2:]
         assert len(body) == 6
 
@@ -211,10 +211,10 @@ class TestFactorReport:
         scan1, scan2 = scans
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            text = factor_report(scan1, scan2, top_k=50, bottom_k=50)
+            text, _ = factor_report(scan1, scan2, top_k=50, bottom_k=50)
         assert len(text.splitlines()[2:]) == max(len(scan1), len(scan2))
 
     def test_markdown_variant(self, scans):
-        text = factor_report(*scans, markdown=True)
+        _, text = factor_report(*scans)
         assert text.startswith("| 1-feature")
         assert "|" in text.splitlines()[1]

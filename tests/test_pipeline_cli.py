@@ -928,6 +928,21 @@ def test_unreadable_input_is_a_data_error(synthetic_dir, tmp_path, stage, name,
                                      f".*{reason}")
 
 
+@pytest.mark.parametrize("name", ["cases.csv", "meta.csv", "config.yaml"])
+def test_leading_byte_order_mark_is_ignored(synthetic_dir, tmp_path, name):
+    """An input that starts with a UTF-8 byte-order mark, as Excel's "CSV UTF-8"
+    export writes it, gives the features.csv of the same input without one."""
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    for d in (plain, marked):
+        d.mkdir()
+        _copy_run(synthetic_dir, d, name)
+    (marked / name).write_bytes(b"\xef\xbb\xbf" + (marked / name).read_bytes())
+    for d in (plain, marked):
+        res = CliRunner().invoke(main, ["features", "--config", str(d / "config.yaml")])
+        assert res.exit_code == 0, res.output
+    assert (marked / "out/features.csv").read_bytes() == (plain / "out/features.csv").read_bytes()
+
+
 #: (stage, an input it reads) pairs the fuzz test damages.
 FUZZ_TARGETS = [("features", "cases.csv"), ("features", "meta.csv"),
                 *((stage, "out/features.csv") for stage in ("associate", "fuse", "cluster")),
@@ -1117,11 +1132,24 @@ def test_select_draws_each_null_order_once(synthetic_dir, tmp_path):
     assert draws.call_count == 2  # one call per response, with the seeds it lacks
     drawn = [(seed, c.args[1]) for c in draws.call_args_list for seed in c.args[0]]
     assert sorted(drawn) == [(seed, 30) for seed in range(5, 27)]
-    # seeds 5 and 6 were dropped after the first response, their last use
-    assert held == [[], list(range(7, 25))]
+    # the first response's orders are all still held when the second one starts
+    assert held == [[], list(range(5, 25))]
     with mock.patch.object(major_factor, "noise_thresholds", oracle_noise_thresholds):
         want = _scan_bytes(data, tmp_path / "oracle")
     assert list(got) == ["scan_region.csv", "scan_status.csv"] and got == want
+
+
+def test_each_stage_renders_each_response_once(synthetic_dir, tmp_path):
+    """select and report call factor_report once per response that gets
+    reports, for its text and Markdown tables together."""
+    data = _select_data(synthetic_dir, [("region", 5, 2, 30), ("status", 7, 3, 30)])
+    cfg = pipeline.config_from_dict({**data, "output": str(tmp_path / "out")})
+    pipeline.run_pipeline(cfg)
+    for stage in (pipeline.stage_select, pipeline.stage_report):
+        with mock.patch.object(major_factor, "factor_report",
+                               wraps=major_factor.factor_report) as render:
+            stage(cfg)
+        assert render.call_count == 2, stage.__name__
 
 
 def test_scan_rows_judged_against_recomputed_nulls(synthetic_dir, tmp_path):

@@ -6,7 +6,9 @@ judges and formats it a column at a time; ``oracle_scan`` and
 are constant in some draws (H(Y) = 0) and candidates repeat columns, so
 conditional entropies tie and the ranking must break ties on names.
 ``major_factor.pair_classes`` classes a level's pairs as arrays, against
-the if-chain of ``oracle_classify_pair`` one pair at a time.
+the if-chain of ``oracle_classify_pair`` one pair at a time, and
+``major_factor.factor_report`` renders both report formats in one pass,
+against ``oracle_factor_report`` rendering each on its own.
 """
 
 import csv
@@ -21,7 +23,13 @@ from hypothesis import strategies as st
 from epicurve import major_factor, pipeline
 from epicurve.major_factor import EPS, FeatureSetResult, Level, NullDropStats
 
-from helpers import oracle_classify_pair, oracle_noise_threshold, oracle_scan, oracle_scan_rows
+from helpers import (
+    oracle_classify_pair,
+    oracle_factor_report,
+    oracle_noise_threshold,
+    oracle_scan,
+    oracle_scan_rows,
+)
 
 REPLICATES = 5
 
@@ -62,7 +70,7 @@ def test_scan_matches_per_set_oracle(inputs):
 @given(scan_inputs(), st.integers(0, 3))
 def test_select_writes_the_oracle_bytes(inputs, seed):
     """The scan CSV and the reports stage_select writes, against the oracle
-    rows and factor_report of the oracle levels."""
+    rows and oracle_factor_report of the oracle levels."""
     y, candidates, order = inputs
     names = sorted(candidates)
     nulls = {c: oracle_noise_threshold(y, [], candidates[c], REPLICATES, seed + i)
@@ -74,7 +82,7 @@ def test_select_writes_the_oracle_bytes(inputs, seed):
     writer.writerows(oracle_scan_rows(levels, nulls))
     want = {"scan_resp.csv": text.getvalue()}
     if order > 1 and len(names) > 1:
-        want.update({f"report_resp.{ext}": major_factor.factor_report(
+        want.update({f"report_resp.{ext}": oracle_factor_report(
             levels[0], levels[1], 2, 1, markdown=ext == "md") for ext in ("txt", "md")})
 
     with tempfile.TemporaryDirectory() as out:
@@ -138,3 +146,29 @@ def test_pair_classes_match_the_if_chain_oracle(rows):
                                     members("q95", nulls_i, nulls_j))
     want = [oracle_classify_pair(*row) for row in rows]
     assert got.tolist() == [major_factor.classify_pair(*row) for row in rows] == want
+
+
+@st.composite
+def report_levels(draw, k):
+    """A Level of 1-12 rows of k-feature sets over 1-6 names of 1-8 characters,
+    its values drawn wide enough that the table columns change width."""
+    m = draw(st.integers(1, 12))
+    names = tuple(sorted(draw(st.lists(st.text("abxy_", min_size=1, max_size=8),
+                                       min_size=1, max_size=6, unique=True))))
+    sets = np.array(draw(st.lists(st.lists(st.integers(0, len(names) - 1), min_size=k,
+                                           max_size=k), min_size=m, max_size=m)))
+    return Level(names, sets.reshape(m, k), *(
+        np.array(draw(st.lists(st.floats(-1e4, 1e4), min_size=m, max_size=m)))
+        for _ in range(4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_levels(1), report_levels(2), st.integers(0, 15), st.integers(0, 15))
+def test_factor_report_matches_the_per_format_oracle(scan1, scan2, top, bottom):
+    """factor_report's (text, markdown) pair, from Levels and from lists of
+    FeatureSetResults, against oracle_factor_report rendering each format on
+    its own: counts of 0, a head and tail that overlap, and counts past the rows."""
+    want = tuple(oracle_factor_report(list(scan1), list(scan2), top, bottom, markdown=md)
+                 for md in (False, True))
+    assert major_factor.factor_report(scan1, scan2, top, bottom) == want
+    assert major_factor.factor_report(list(scan1), list(scan2), top, bottom) == want
