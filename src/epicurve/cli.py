@@ -49,7 +49,7 @@ def main():
     """Infection-curve feature extraction and entropy-based analysis."""
 
 
-for _name, _stage in pipeline.STAGES.items():
+for _name, _stage in {**pipeline.STAGES, "all": pipeline.run_pipeline}.items():
     @main.command(name=_name, help=_stage.__doc__.splitlines()[0])
     @config_opt
     @out_opt
@@ -67,13 +67,6 @@ for _name, _stage in pipeline.STAGES.items():
               help="Bottom-ranked rows to show.")
 def report(config_path, out, top, bottom):
     _run(pipeline.stage_report, config_path, out, top, bottom)
-
-
-@main.command(name="all", help="Run every stage and write the manifest.")
-@config_opt
-@out_opt
-def run_all(config_path, out):
-    _run(pipeline.run_pipeline, config_path, out)
 
 
 if __name__ == "__main__":

@@ -163,10 +163,13 @@ def kmeans_fuse(
         raise ComputationError(
             f"{name}: only {x.shape[0]} complete rows for k={k}"
         )
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
-    sd[sd == 0] = 1.0
-    xs = (x - mean) / sd
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        sd = x.std(axis=0)
+        sd[sd == 0] = 1.0
+        xs = (x - mean) / sd
+    if not (np.isfinite(sd).all() and np.isfinite(xs).all()):
+        raise ComputationError(f"{name}: column spread overflows float64")
 
     block = max(1, KMEANS_CELLS // (len(xs) * max(k, xs.shape[1])))
     best = None

@@ -65,9 +65,7 @@ class Level(Sequence):
     def __len__(self) -> int:
         return len(self.ce)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> FeatureSetResult:
         return FeatureSetResult(tuple(self.names[j] for j in self.sets[i].tolist()), *(
             float(v[i]) for v in (self.ce, self.rescaled_ce, self.ce_drop, self.sce_drop)))
 
@@ -303,7 +301,7 @@ def factor_report(
     def pick(scan):
         k_top = min(top_k, len(scan))
         k_bot = min(bottom_k, len(scan) - k_top)
-        return list(scan[:k_top]) + list(scan[len(scan) - k_bot:])
+        return [scan[i] for i in [*range(k_top), *range(len(scan) - k_bot, len(scan))]]
 
     sel1, sel2 = pick(scan1), pick(scan2)
     n = max(len(sel1), len(sel2))

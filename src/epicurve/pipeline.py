@@ -157,12 +157,12 @@ def _spec(cls, section: str, mapping: dict):
                   for f in dataclasses.fields(cls)})
 
 
-def _entries(data: dict, key: str):
-    """(section name, mapping) of each entry listed under ``key``."""
+def _specs(cls, data: dict, key: str) -> tuple:
+    """The ``cls`` spec of each entry listed under ``key``, each built by ``_spec``."""
     entries = data.get(key) or []
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ConfigError(f"{key} must be a list of mappings")
-    return [(f"{key}[{i}]", e) for i, e in enumerate(entries)]
+    return tuple(_spec(cls, f"{key}[{i}]", e) for i, e in enumerate(entries))
 
 
 def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
@@ -174,15 +174,10 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
-    for key in ("cases", "metadata", "output"):
-        if key not in data:
-            raise ConfigError(f"config is missing {key!r}")
     _known("config", data, {f.name for f in dataclasses.fields(PipelineConfig)}
            - {"window_start", "window_end"} | {"window"})
-
-    def resolve(p):
-        p = str(p)
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
+    cases, metadata, output = (_field("config", data, k, lambda p: os.path.join(base_dir, str(p)))
+                               for k in ("cases", "metadata", "output"))
 
     window = data.get("window", {}) or {}
     if not isinstance(window, dict):
@@ -211,9 +206,8 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
     if n_bins < 2:
         raise ConfigError("n_bins must be >= 2")
 
-    fusions = []
-    for section, f in _entries(data, "fusions"):
-        spec = _spec(FusionSpec, section, f)
+    fusions = _specs(FusionSpec, data, "fusions")
+    for spec in fusions:
         if spec.k < 1 or spec.restarts < 1:
             raise ConfigError(f"fusion {spec.name}: k and restarts must be >= 1")
         if spec.seed < 0:
@@ -221,15 +215,13 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
         for c in spec.columns:
             if c not in NUMERIC_FEATURES:
                 raise ConfigError(f"fusion {spec.name}: unknown column {c!r}")
-        fusions.append(spec)
     _check_names("fusion", [f.name for f in fusions],
                  frozenset(FEATURE_COLUMNS) | {"unit_id"} | set(META_RESPONSES))
     fusion_names = {f.name for f in fusions}
 
     categorical_names = set(("peakdate",) + SHAPE_FEATURES) | fusion_names
-    responses = []
-    for section, r in _entries(data, "responses"):
-        spec = _spec(ResponseSpec, section, r)
+    responses = _specs(ResponseSpec, data, "responses")
+    for spec in responses:
         if spec.order not in (1, 2, 3):
             raise ConfigError(
                 f"response {spec.response}: scan order must be 1, 2 or 3"
@@ -249,30 +241,27 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
         if spec.response in spec.candidates:
             raise ConfigError(f"response {spec.response}: a response cannot be "
                               "its own candidate")
-        responses.append(spec)
     _check_names("response", [r.response for r in responses])
 
-    clusterings = []
-    for section, c in _entries(data, "clusterings"):
-        spec = _spec(ClusteringSpec, section, c)
+    clusterings = _specs(ClusteringSpec, data, "clusterings")
+    for spec in clusterings:
         for col in spec.columns:
             if col not in NUMERIC_FEATURES:
                 raise ConfigError(f"clustering {spec.name}: unknown column {col!r}")
-        clusterings.append(spec)
     _check_names("clustering", [c.name for c in clusterings])
 
     return PipelineConfig(
-        cases=resolve(data["cases"]),
-        metadata=resolve(data["metadata"]),
-        output=resolve(data["output"]),
+        cases=cases,
+        metadata=metadata,
+        output=output,
         window_start=start,
         window_end=end,
         rate_scale=rate_scale,
         n_bins=n_bins,
         thresholds=thresholds,
-        fusions=tuple(fusions),
-        responses=tuple(responses),
-        clusterings=tuple(clusterings),
+        fusions=fusions,
+        responses=responses,
+        clusterings=clusterings,
     )
 
 
@@ -658,11 +647,14 @@ def stage_cluster(cfg: PipelineConfig) -> None:
     for spec in cfg.clusterings:
         matrix = np.column_stack([columns[c] for c in spec.columns])
         try:
-            tree, excluded = cluster_fuse.hcluster_ward(matrix, units)
+            with np.errstate(over="ignore", invalid="ignore"):
+                tree, excluded = cluster_fuse.hcluster_ward(matrix, units)
         except ComputationError as exc:
             raise ComputationError(f"{spec.name}: {exc}") from exc
         inverted, top = [], 0.0  # merges below the highest one before them
         for step, (*_, height) in enumerate(tree.merges):
+            if not math.isfinite(height):
+                raise ComputationError(f"{spec.name}: Ward distances overflow float64")
             if height < top - 1e-9:
                 inverted.append(f"merge {step} ({height:.6g} < {top:.6g})")
             top = max(top, height)
@@ -747,8 +739,9 @@ def write_manifest(cfg: PipelineConfig) -> None:
 
 
 def run_pipeline(cfg: PipelineConfig) -> None:
-    """Run every stage that writes an artifact of ``cfg``, in order, and write
-    the artifact manifest."""
+    """Run every stage and write the manifest.
+
+    Only the stages that write an artifact of ``cfg`` run, in stage order."""
     for stage in dict.fromkeys(stage for stage, _name in _artifacts(cfg)):
         STAGES[stage](cfg)
     write_manifest(cfg)

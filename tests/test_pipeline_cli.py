@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 from xml.etree import ElementTree
@@ -281,6 +282,20 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert os.path.exists(tmp_path / "o" / "manifest.txt")
 
+    def test_help_lists_every_command_with_its_summary(self):
+        res = CliRunner().invoke(main, ["--help"])
+        assert res.exit_code == 0, res.output
+        listed = res.output.split("Commands:\n")[1].splitlines()
+        assert listed == [
+            "  all        Run every stage and write the manifest.",
+            "  associate  Discretize features and compute association matrices/networks.",
+            "  cluster    Build Ward.D2 trees, leaf codes, and similarity heatmaps.",
+            "  features   Extract per-unit curve features from the raw CSVs.",
+            "  fuse       K-means fuse feature blocks into categorical features.",
+            "  report     Rewrite the ranked reports, recomputing the order-1/2 scans...",
+            "  select     Run major-factor scans for the configured responses.",
+        ]
+
     def test_select_without_features_exit3(self, synthetic_dir, tmp_path):
         res = self.run(synthetic_dir, "select", "--out", str(tmp_path / "empty"))
         assert res.exit_code == 3
@@ -528,6 +543,20 @@ def _end_week_date(d):
     d["window"]["end"] = "2022-W33-5"  # 2022-08-19 to Python 3.11
 
 
+def _metadata_missing(d):
+    del d["metadata"]
+
+
+def _cases_misspelled(d):
+    d["case"] = d.pop("cases")  # the unknown key is named, not the missing one
+
+
+def _second_fusion_shape_after_first_seed(d):
+    # a section's shape errors (any entry) come before its value errors
+    d["fusions"][0]["seed"] = -1
+    d["fusions"].append({"columns": ["left30"]})
+
+
 INVALID_CONFIGS = [
     (_restarts_zero, "restarts must be >= 1"),
     (_replicates_zero, "replicates must be >= 1"),
@@ -578,6 +607,9 @@ INVALID_CONFIGS = [
     (_both_timestamps, "window: bad start datetime.datetime(2022, 3, 25, 0, 0)"),
     (_start_basic_form, "window: bad start 20220325"),
     (_end_week_date, "window: bad end '2022-W33-5'"),
+    (_metadata_missing, "config: missing 'metadata'"),
+    (_cases_misspelled, "config: unknown key 'case'"),
+    (_second_fusion_shape_after_first_seed, "fusions[1]: missing 'name'"),
 ]
 
 
@@ -1334,6 +1366,30 @@ def test_overflowing_rate_is_a_computation_error(synthetic_dir, tmp_path):
     assert res.output == (f"computation error: {units[2]}: daily rate overflows float64 "
                           f"at rate_scale 1e+306\n")
     assert not (tmp_path / "out" / "features.csv").exists()
+
+
+@pytest.mark.parametrize("stage, artifact, message", [
+    ("fuse", "fused.csv", "left30to70: column spread overflows float64"),
+    ("cluster", "tree_left.csv", "left: Ward distances overflow float64"),
+])
+def test_overflowing_column_spread_is_a_computation_error(synthetic_dir, tmp_path, stage,
+                                                          artifact, message):
+    """At rate_scale 1e300, peakvalue is finite in features.csv but its spread
+    is not: a fusion or a clustering over it exits 4 naming itself, with no
+    RuntimeWarning, where it would fuse on left30 alone or write NaN heights."""
+    config = _copy_run(synthetic_dir, tmp_path, "cases.csv")
+    data = yaml.safe_load(config.read_text())
+    data["rate_scale"] = 1.0e300
+    data["fusions"][0]["columns"] = data["clusterings"][0]["columns"] = ["peakvalue", "left30"]
+    config.write_text(yaml.safe_dump(data))
+    for upstream in ("features", "associate"):
+        assert CliRunner().invoke(main, [upstream, "--config", str(config)]).exit_code == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = CliRunner().invoke(main, [stage, "--config", str(config)])
+    assert res.exit_code == 4, res.output
+    assert res.output == f"computation error: {message}\n"
+    assert not (tmp_path / "out" / artifact).exists()
 
 
 def test_report_refreshes_an_existing_manifest(synthetic_dir, tmp_path):
