@@ -99,7 +99,7 @@ def conditional_entropy(t: ContingencyTable, direction: str = COLS_GIVEN_ROWS) -
         raise ComputationError("empty table")
     r, c = np.nonzero(counts)
     starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-    return float(_grouped_entropy(counts[r, c], starts, np.zeros_like(starts), n)[0])
+    return float(_grouped_entropy(counts[r, c], starts, np.zeros_like(starts), n, 1)[0])
 
 
 #: Cells (feature sets x units) counted per batch by the entropy kernel;
@@ -157,7 +157,10 @@ def _batch_entropies(y: np.ndarray, keys: np.ndarray, first_seen: bool) -> np.nd
     """H(Y | key) per row of ``keys`` (m, n), from one ``np.bincount`` of all
     cell ids, whose occupied bins come in id order: grouped by row and key
     with no sort. Ids over _SPACE_PER_CELL per cell are first re-coded to
-    their ranks, which keeps that order."""
+    their ranks, which keeps that order. With ``first_seen``, the cells of
+    single-cell groups are dropped before the rest are put in first-seen
+    order: such a group's term is an exact -0.0 (p = 1), which leaves its
+    row's sum as it was."""
     m, n = keys.shape
     ny = int(y.max()) + 1
     span = int(keys.max()) + 1
@@ -165,29 +168,39 @@ def _batch_entropies(y: np.ndarray, keys: np.ndarray, first_seen: bool) -> np.nd
     ids = None
     if m * span * ny > _SPACE_PER_CELL * cell.size:
         ids, cell = np.unique(cell, return_inverse=True)
-    counts = np.bincount(cell)
-    occupied = np.flatnonzero(counts)
-    counts = counts[occupied]
+    bins = np.bincount(cell)
+    occupied = np.flatnonzero(bins != 0)
+    counts = bins[occupied]
     group = (occupied if ids is None else ids) // ny
-    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    edges = np.concatenate(([True], group[1:] != group[:-1], [True]))
+    new = edges[:-1]
     if first_seen:
-        first = np.full(occupied[-1] + 1, cell.size)
+        # a cell is alone in its group when it and the next cell both start one
+        kept = np.flatnonzero(~(new & edges[1:]))
+        if kept.size == 0:
+            return np.zeros(m)
+        if kept.size < new.size:
+            occupied, counts, group, new = (a[kept] for a in (occupied, counts, group, new))
+        starts = np.flatnonzero(new)
+        first = np.full(bins.size, cell.size)
         np.minimum.at(first, cell, np.arange(cell.size))
         first = first[occupied]
         group_first = np.minimum.reduceat(first, starts)
         rank = np.repeat(group_first, np.diff(np.r_[starts, counts.size]))
         order = np.lexsort((first, rank))
         counts, group = counts[order], group[order]
-        starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    return _grouped_entropy(counts, starts, group[starts] // span, n)
+        new = np.r_[True, group[1:] != group[:-1]]
+    starts = np.flatnonzero(new)
+    return _grouped_entropy(counts, starts, group[starts] // span, n, m)
 
 
-def _grouped_entropy(counts, starts, owner, n: int) -> np.ndarray:
+def _grouped_entropy(counts, starts, owner, n: int, m: int) -> np.ndarray:
     """Per owner, the sum over its groups of (n_g / n) * H(group's cells).
 
     Group g's counts are contiguous from ``starts[g]``; ``owner`` (sorted,
     0..m-1) tells whose it is. A group entropy is one np.sum, as in
-    ``entropy``, and an owner's terms are added one by one from +0.0.
+    ``entropy``, and an owner's terms are added one by one from +0.0, so an
+    owner with no group gets +0.0.
     """
     lengths = np.diff(np.r_[starts, counts.size])
     n_g = np.add.reduceat(counts, starts)
@@ -198,7 +211,7 @@ def _grouped_entropy(counts, starts, owner, n: int) -> np.ndarray:
         sel = np.flatnonzero(lengths == length)
         h[sel] = -np.sum(plogp[starts[sel, None] + np.arange(length)], axis=1)
     pos = np.arange(starts.size) - np.searchsorted(owner, owner)
-    terms = np.zeros((owner[-1] + 1, pos.max() + 1))
+    terms = np.zeros((m, pos.max() + 1))
     terms[owner, pos] = n_g / n * h
     return np.cumsum(terms, axis=1)[:, -1] + 0.0
 

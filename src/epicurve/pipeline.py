@@ -176,7 +176,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> PipelineConfig:
         raise ConfigError("config must be a mapping")
     _known("config", data, {f.name for f in dataclasses.fields(PipelineConfig)}
            - {"window_start", "window_end"} | {"window"})
-    cases, metadata, output = (_field("config", data, k, lambda p: os.path.join(base_dir, str(p)))
+    cases, metadata, output = (_field("config", data, k, lambda p: os.path.join(base_dir, p))
                                for k in ("cases", "metadata", "output"))
 
     window = data.get("window", {}) or {}

@@ -336,7 +336,7 @@ def oracle_batch_entropies(y: np.ndarray, keys: np.ndarray, first_seen: bool) ->
         order = np.lexsort((first, rank))
         counts, group = counts[order], group[order]
         starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    return _grouped_entropy(counts, starts, group[starts] // span, n)
+    return _grouped_entropy(counts, starts, group[starts] // span, n, m)
 
 
 def oracle_permutation_orders(seed: int, replicates: int, n: int) -> np.ndarray:

@@ -218,6 +218,68 @@ class TestBincountCounting:
         assert hexes(got) == hexes(want)
 
 
+@st.composite
+def sparse_batches(draw):
+    """(y, keys) of one kernel batch whose rows are each of one kind: keys
+    unique per unit (every group holds one cell), unique but for a few
+    units sharing the first unit's key, or few keys (groups of many cells)."""
+    n = draw(st.integers(1, 30))
+    y = np.array(draw(st.lists(st.integers(0, draw(st.integers(0, 3))),
+                               min_size=n, max_size=n)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["unique", "mostly", "few"]),
+                              min_size=1, max_size=10)):
+        if kind == "few":
+            rows.append(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+            continue
+        row = draw(st.permutations(range(3 * n)))[:n]
+        if kind == "mostly":
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+                row[i] = row[0]
+        rows.append(row)
+    return y, np.array(rows)
+
+
+class TestSingleCellGroups:
+    """First-seen batches drop the cells of single-cell groups before ordering."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_batches(), st.booleans(), st.sampled_from([0, 8, 1 << 62]))
+    @example(batch=(np.array([0, 1, 0, 1]), np.array([[0, 1, 2, 3], [0, 0, 1, 1],
+                                                      [4, 5, 6, 7]])),
+             first_seen=True, bound=8)
+    @example(batch=(np.array([0, 1, 0]), np.array([[0, 0, 1], [2, 3, 4], [1, 1, 0]])),
+             first_seen=True, bound=8)
+    @example(batch=(np.array([2, 0, 1]), np.array([[0, 1, 2], [5, 4, 3]])),
+             first_seen=True, bound=8)
+    def test_sparse_batches_match_the_sort_oracle(self, batch, first_seen, bound):
+        """Wholly single-cell rows at the start, middle and end of a batch,
+        and a batch of nothing but single-cell groups."""
+        y, keys = batch
+        with with_space_per_cell(bound):
+            got = _batch_entropies(y, keys, first_seen)
+        assert hexes(got) == hexes(oracle_batch_entropies(y, keys, first_seen))
+
+    def test_scan_deep_order_three_batch_orders_only_shared_groups(self):
+        """273 order-3 sets of radix 5 over 60 units and a 2-level response,
+        one scan-deep triples batch: lexsort sees the multi-cell groups' cells."""
+        rng = np.random.default_rng(31)
+        y = rng.integers(0, 2, size=60)
+        digits = rng.integers(0, 5, size=(3, 273, 60))
+        keys = (digits[0] * 5 + digits[1]) * 5 + digits[2]
+        levels = [{} for _ in keys]
+        for row, seen in zip(keys, levels):
+            for key, label in zip(row, y):
+                seen.setdefault(key, set()).add(label)
+        shared = sum(len(s) for seen in levels for s in seen.values() if len(s) > 1)
+        occupied = sum(len(s) for seen in levels for s in seen.values())
+        assert 0 < shared < occupied // 4
+        with counted("lexsort") as lexsort:
+            got = _batch_entropies(y, keys, True)
+        assert [len(c.args[0][0]) for c in lexsort.call_args_list] == [shared]
+        assert hexes(got) == hexes(oracle_batch_entropies(y, keys, True))
+
+
 class TestSortedOrder:
     @SETTINGS
     @given(columns(max_cols=3, min_label=-1))

@@ -551,6 +551,26 @@ def _cases_misspelled(d):
     d["case"] = d.pop("cases")  # the unknown key is named, not the missing one
 
 
+def _cases_null(d):
+    d["cases"] = None
+
+
+def _metadata_list(d):
+    d["metadata"] = ["meta.csv"]
+
+
+def _output_mapping(d):
+    d["output"] = {"dir": "out"}
+
+
+def _output_null(d):
+    d["output"] = None  # not a directory named None
+
+
+def _output_number(d):
+    d["output"] = 2022  # an unquoted YAML number is no path
+
+
 def _second_fusion_shape_after_first_seed(d):
     # a section's shape errors (any entry) come before its value errors
     d["fusions"][0]["seed"] = -1
@@ -610,6 +630,11 @@ INVALID_CONFIGS = [
     (_metadata_missing, "config: missing 'metadata'"),
     (_cases_misspelled, "config: unknown key 'case'"),
     (_second_fusion_shape_after_first_seed, "fusions[1]: missing 'name'"),
+    (_cases_null, "config: bad cases None"),
+    (_metadata_list, "config: bad metadata ['meta.csv']"),
+    (_output_mapping, "config: bad output {'dir': 'out'}"),
+    (_output_null, "config: bad output None"),
+    (_output_number, "config: bad output 2022"),
 ]
 
 
@@ -650,6 +675,15 @@ def test_config_impossible_date_exits_2(tmp_path):
     assert res.output.startswith(f"config error: invalid YAML in {config}: ")
     assert "day is out of range for month" in res.output
     assert res.output.count("\n") == 1
+
+
+def test_output_null_makes_no_directory(tmp_path):
+    config = tmp_path / "null-output.yaml"
+    config.write_text("cases: cases.csv\nmetadata: meta.csv\noutput: null\n")
+    res = CliRunner().invoke(main, ["features", "--config", str(config)])
+    assert res.exit_code == 2, res.output
+    assert res.output == "config error: config: bad output None\n"
+    assert os.listdir(tmp_path) == ["null-output.yaml"]
 
 
 class TestReportRoundTrip:
